@@ -3,14 +3,16 @@
 // Three presets, mirroring bench/perf_consolidation's JSON contract
 // (BENCH_sharding.json, machine-readable for CI gates):
 //
-//   identity   small two-level testbed run at shard counts {0,1,2,8}: every
-//              sharded telemetry export must be byte-identical to the
-//              unsharded oracle. This is the hard gate — a perf bench that
-//              drifts from the oracle measures a different program.
+//   identity   small two-level testbed run at shard counts {2,8}: every
+//              telemetry export must be byte-identical to the default
+//              single-shard run (itself pinned to committed goldens by
+//              tests/test_sharding.cpp). This is the hard gate — a perf
+//              bench that drifts from the reference measures a different
+//              program.
 //   speedup    a wider testbed (64 apps) at a fixed shard count, advanced
 //              with 1 worker thread vs more: SELF-speedup of the identical
 //              workload, so the ratio isolates the parallel shard advance
-//              (results are verified equal to the oracle first). The JSON
+//              (results are verified equal to the single-shard run). The JSON
 //              records hardware_concurrency — on a single-core runner the
 //              honest answer is ~1x and the number documents exactly that.
 //   fleet      bounded-memory completion at fleet scale (default 100k
@@ -141,7 +143,7 @@ int main(int argc, char** argv) {
   }
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("# perf_sharding: parallel shard advance vs the single-loop oracle "
+  std::printf("# perf_sharding: parallel shard advance vs the single-shard reference "
               "(hardware_concurrency=%u)\n", hw);
 
   std::string json = "{\n  \"bench\": \"perf_sharding\",\n";
@@ -154,23 +156,23 @@ int main(int argc, char** argv) {
 
   // ---- identity preset ------------------------------------------------------
   {
-    core::TestbedConfig oracle_config = base_config(8, 4, 0, 0);
-    oracle_config.enable_optimizer = true;
-    oracle_config.optimizer_period_s = 120.0;
+    core::TestbedConfig reference_config = base_config(8, 4, 1, 0);
+    reference_config.enable_optimizer = true;
+    reference_config.optimizer_period_s = 120.0;
     const double duration_s = 400.0;
-    const RunOutcome oracle = run_testbed(oracle_config, duration_s);
-    std::printf("%-10s %-12s %10.3fs %12llu events %8zu migrations\n", "identity",
-                "oracle", oracle.run_s, static_cast<unsigned long long>(oracle.events),
-                oracle.migrations);
-    json += "  \"identity\": {\"duration_s\": 400.0, \"shard_counts\": [1, 2, 8], "
+    const RunOutcome reference = run_testbed(reference_config, duration_s);
+    std::printf("%-10s shards=%-5d %10.3fs %12llu events %8zu migrations\n", "identity", 1,
+                reference.run_s, static_cast<unsigned long long>(reference.events),
+                reference.migrations);
+    json += "  \"identity\": {\"duration_s\": 400.0, \"shard_counts\": [2, 8], "
             "\"matches\": [";
     bool first = true;
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      core::TestbedConfig config = oracle_config;
+    for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
+      core::TestbedConfig config = reference_config;
       config.shards = shards;
       config.shard_threads = std::min<std::size_t>(hw, shards);
       const RunOutcome sharded = run_testbed(config, duration_s);
-      const bool match = sharded.csv == oracle.csv;
+      const bool match = sharded.csv == reference.csv;
       identity_ok = identity_ok && match;
       std::printf("%-10s shards=%-5zu %10.3fs %12llu events   identical=%s\n", "identity",
                   shards, sharded.run_s, static_cast<unsigned long long>(sharded.events),
@@ -190,10 +192,10 @@ int main(int argc, char** argv) {
     spec.optimizer_period_s = 60.0;
     const double duration_s = 120.0;
 
-    core::TestbedConfig oracle_config = spec;
-    oracle_config.shards = 0;
-    oracle_config.shard_threads = 0;
-    const RunOutcome oracle = run_testbed(oracle_config, duration_s);
+    core::TestbedConfig reference_config = spec;
+    reference_config.shards = 1;
+    reference_config.shard_threads = 0;
+    const RunOutcome reference = run_testbed(reference_config, duration_s);
 
     std::vector<std::size_t> thread_counts = {1, 2, hw};
     std::sort(thread_counts.begin(), thread_counts.end());
@@ -208,7 +210,7 @@ int main(int argc, char** argv) {
       core::TestbedConfig config = spec;
       config.shard_threads = threads;
       const RunOutcome run = run_testbed(config, duration_s);
-      const bool match = run.csv == oracle.csv;
+      const bool match = run.csv == reference.csv;
       identity_ok = identity_ok && match;
       if (threads == 1) wall_at_1 = run.run_s;
       const double self_speedup = run.run_s <= 0.0 ? 0.0 : wall_at_1 / run.run_s;
@@ -275,8 +277,8 @@ int main(int argc, char** argv) {
   }
 
   if (!identity_ok) {
-    std::fprintf(stderr, "REGRESSION: sharded telemetry diverged from the unsharded "
-                 "oracle\n");
+    std::fprintf(stderr, "REGRESSION: sharded telemetry diverged from the single-shard "
+                 "reference\n");
     return 1;
   }
   if (!fleet_ok) {

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "consolidate/naive.hpp"
-
 namespace vdc::core {
 
 std::string to_string(ConsolidationAlgorithm algorithm) {
@@ -11,14 +9,6 @@ std::string to_string(ConsolidationAlgorithm algorithm) {
     case ConsolidationAlgorithm::kIpac: return "IPAC";
     case ConsolidationAlgorithm::kPMapper: return "pMapper";
     case ConsolidationAlgorithm::kNone: return "none";
-  }
-  return "?";
-}
-
-std::string to_string(ConsolidationEngine engine) {
-  switch (engine) {
-    case ConsolidationEngine::kFast: return "fast";
-    case ConsolidationEngine::kNaive: return "naive";
   }
   return "?";
 }
@@ -41,23 +31,12 @@ consolidate::PlacementPlan PowerOptimizer::plan(const datacenter::Cluster& clust
   const consolidate::DataCenterSnapshot snapshot = consolidate::snapshot_of(cluster);
   consolidate::PlacementPlan out;
   switch (config_.algorithm) {
-    case ConsolidationAlgorithm::kIpac: {
-      const consolidate::IpacReport report =
-          config_.engine == ConsolidationEngine::kNaive
-              ? consolidate::naive::ipac(snapshot, constraints_, *policy_, config_.ipac,
-                                         config_.rack)
-              : consolidate::ipac(snapshot, constraints_, *policy_, config_.ipac, config_.rack);
-      out = report.plan;
+    case ConsolidationAlgorithm::kIpac:
+      out = consolidate::ipac(snapshot, constraints_, *policy_, config_.ipac, config_.rack).plan;
       break;
-    }
-    case ConsolidationAlgorithm::kPMapper: {
-      const consolidate::PMapperReport report =
-          config_.engine == ConsolidationEngine::kNaive
-              ? consolidate::naive::pmapper(snapshot, constraints_, config_.rack)
-              : consolidate::pmapper(snapshot, constraints_, config_.rack);
-      out = report.plan;
+    case ConsolidationAlgorithm::kPMapper:
+      out = consolidate::pmapper(snapshot, constraints_, config_.rack).plan;
       break;
-    }
     case ConsolidationAlgorithm::kNone:
       return out;
   }

@@ -1,6 +1,7 @@
 #include "core/testbed.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -9,8 +10,40 @@
 
 namespace vdc::core {
 
+namespace {
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
+/// Boundary validation: runs before any member is built, so a bad config
+/// fails with the offending field's name instead of surfacing later as a
+/// hang (a zero-period reschedule loop) or an unrelated downstream error.
+TestbedConfig validated(TestbedConfig config) {
+  if (config.num_apps == 0) {
+    throw std::invalid_argument("TestbedConfig::num_apps must be >= 1");
+  }
+  if (config.num_servers == 0) {
+    throw std::invalid_argument("TestbedConfig::num_servers must be >= 1");
+  }
+  if (config.shards == 0) {
+    throw std::invalid_argument("TestbedConfig::shards must be >= 1");
+  }
+  if (!positive_finite(config.control_period_s)) {
+    throw std::invalid_argument("TestbedConfig::control_period_s must be finite and > 0, got " +
+                                std::to_string(config.control_period_s));
+  }
+  if (config.enable_optimizer && !positive_finite(config.optimizer_period_s)) {
+    throw std::invalid_argument(
+        "TestbedConfig::optimizer_period_s must be finite and > 0 when enable_optimizer is "
+        "set, got " +
+        std::to_string(config.optimizer_period_s));
+  }
+  return config;
+}
+
+}  // namespace
+
 Testbed::Testbed(TestbedConfig config)
-    : config_(std::move(config)),
+    : config_(validated(std::move(config))),
       engine_(config_.shards, config_.shard_threads),
       sim_(engine_.spine()),
       injector_(config_.faults),
@@ -21,19 +54,14 @@ Testbed::Testbed(TestbedConfig config)
           .migration_backoff_s = config_.optimizer_migration_backoff_s,
           .rack = config_.optimizer_rack,
       }) {
-  if (config_.num_apps == 0 || config_.num_servers == 0) {
-    throw std::invalid_argument("Testbed: need at least one app and one server");
-  }
-
-  // Telemetry sink: every series below lands in this recorder. The sample
-  // period follows the control period (every series here records once per
-  // control tick).
+  // Telemetry sinks. The sample period follows the control period (every
+  // series records once per control tick). The per-app series stream into
+  // per-shard recorders so a shard's harvest/record phase never
+  // synchronizes with another's; the cluster-level series and annotations
+  // stay on the control-plane recorder. take_recorder() reassembles the
+  // canonical layout.
   config_.telemetry.sample_period_s = config_.control_period_s;
   recorder_ = telemetry::Recorder(config_.telemetry);
-  // Sharded mode: the per-app series stream into per-shard recorders so a
-  // shard's harvest/record phase never synchronizes with another's; the
-  // cluster-level series and annotations stay on the control-plane
-  // recorder. take_recorder() reassembles the canonical layout.
   shard_recorders_.reserve(engine_.shard_count());
   for (std::size_t s = 0; s < engine_.shard_count(); ++s) {
     shard_recorders_.push_back(std::make_unique<telemetry::Recorder>(config_.telemetry));
@@ -87,7 +115,7 @@ Testbed::Testbed(TestbedConfig config)
     // touch the spine.
     auto app_stack =
         std::make_unique<AppStack>(engine_.shard(shard_of_app(i)), model_, stack);
-    app_stack->bind_recorder(&recorder_for_app(i), response_series_name(i),
+    app_stack->bind_recorder(shard_recorders_[shard_of_app(i)].get(), response_series_name(i),
                              allocation_series_name(i));
 
     const std::size_t tiers = app_stack->tier_count();
@@ -260,10 +288,6 @@ std::uint64_t Testbed::scale_in_count() const noexcept {
 void Testbed::for_each_shard_apps(const std::function<void(std::size_t)>& body) {
   const std::size_t apps = stacks_.size();
   const std::size_t shards = engine_.shard_count();
-  if (shards == 0) {
-    for (std::size_t i = 0; i < apps; ++i) body(i);
-    return;
-  }
   util::parallel_for(
       shards,
       [&](std::size_t s) {
@@ -277,11 +301,10 @@ void Testbed::for_each_shard_apps(const std::function<void(std::size_t)>& body) 
 }
 
 telemetry::Recorder Testbed::take_recorder() {
-  if (shard_recorders_.empty()) return std::move(recorder_);
   // Canonical merge order: shard recorders by shard index (their apps are a
   // contiguous ascending range each), then the control-plane recorder —
-  // reproducing exactly the series creation order of a legacy-mode run
-  // (app0/p90, app0/alloc, ..., cluster/*, fault/*).
+  // the same series order at every shard count (app0/p90, app0/alloc, ...,
+  // cluster/*, fault/*).
   telemetry::Recorder merged(recorder_.config());
   for (std::unique_ptr<telemetry::Recorder>& rec : shard_recorders_) {
     merged.absorb(std::move(*rec));
@@ -569,12 +592,10 @@ void Testbed::control_tick() {
   // ---- feedback control: demands per application --------------------------
   // Phases (see AppStack::harvest_tick): harvest (monitor + per-app fault
   // stream + the app's recorder), parallel MPC decide (each solve touches
-  // only its own controller), then record/push-down. In legacy mode harvest
-  // and record are serial (one shared recorder); in sharded mode both run
-  // per shard in parallel — each shard appends only to its own recorder and
-  // writes only its own apps' VM demands, and the per-recorder append order
-  // (app index within the shard) matches the serial order, so results are
-  // bit-identical either way.
+  // only its own controller), then record/push-down. Harvest and record
+  // run per shard in parallel — each shard appends only to its own recorder
+  // and writes only its own apps' VM demands, in app index order within the
+  // shard — so results are bit-identical at every shard count.
   std::vector<std::optional<app::PeriodStats>> harvested(stacks_.size());
   for_each_shard_apps([&](std::size_t i) { harvested[i] = stacks_[i]->harvest_tick(); });
   std::vector<std::vector<double>> decided(stacks_.size());

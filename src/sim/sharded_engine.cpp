@@ -18,10 +18,6 @@ void ShardedEngine::advance_shards(double t) {
 }
 
 void ShardedEngine::run_until(double t) {
-  if (shards_.empty()) {  // single-loop mode: the spine is the whole engine
-    spine_.run_until(t);
-    return;
-  }
   for (;;) {
     const std::optional<double> next = spine_.next_event_time();
     if (!next || *next > t) break;

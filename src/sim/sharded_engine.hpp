@@ -23,18 +23,14 @@
 // Determinism: shard loops never interact below a barrier, so their
 // interleaving is irrelevant; the serial spine phase sees identical state
 // regardless of thread count or shard count. Results are bit-identical
-// across shard counts and thread counts (test-enforced against the
-// single-loop engine). Tie-break policy at a barrier: shard events
-// timestamped exactly t* run BEFORE spine events at t*. The single-loop
-// engine orders equal timestamps by global scheduling sequence instead;
-// the two orders can differ only when a continuous-time workload event
-// lands exactly on the periodic tick grid, which the double-precision
-// event times make a measure-zero coincidence (see DESIGN.md "Sharded
-// engine").
+// across shard counts and thread counts (test-enforced against committed
+// goldens, see DESIGN.md "Sharded engine"). Tie-break policy at a barrier:
+// shard events timestamped exactly t* run BEFORE spine events at t*.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -43,25 +39,23 @@ namespace vdc::sim {
 
 class ShardedEngine {
  public:
-  /// `shard_count` == 0 is the single-loop legacy mode: no shard loops
-  /// exist and `shard(i)` aliases the spine, so every event shares one
-  /// `Simulation` exactly as before sharding. `threads` caps the workers
-  /// used for the parallel shard advance (0 = hardware concurrency).
-  explicit ShardedEngine(std::size_t shard_count = 0, std::size_t threads = 0)
-      : threads_(threads), shards_(shard_count) {}
+  /// `shard_count` >= 1 workload loops next to the spine; zero throws
+  /// std::invalid_argument. `threads` caps the workers used for the
+  /// parallel shard advance (0 = hardware concurrency).
+  explicit ShardedEngine(std::size_t shard_count, std::size_t threads = 0)
+      : threads_(threads), shards_(shard_count) {
+    if (shard_count == 0) throw std::invalid_argument("ShardedEngine: shard_count must be >= 1");
+  }
 
   /// The control-plane loop. External schedule events (setpoint changes,
   /// load steps) must be scheduled here so they execute in the serial phase.
   [[nodiscard]] Simulation& spine() noexcept { return spine_; }
   [[nodiscard]] const Simulation& spine() const noexcept { return spine_; }
 
-  /// The loop owning shard `i`'s workload events. In single-loop mode this
-  /// is the spine for every `i`.
-  [[nodiscard]] Simulation& shard(std::size_t i) noexcept {
-    return shards_.empty() ? spine_ : shards_[i];
-  }
+  /// The loop owning shard `i`'s workload events.
+  [[nodiscard]] Simulation& shard(std::size_t i) noexcept { return shards_[i]; }
 
-  /// Number of shard loops (0 in single-loop mode).
+  /// Number of shard loops (>= 1).
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Current time. Clocks are in lockstep at every barrier; between

@@ -18,8 +18,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +30,7 @@
 #include "core/scenario.hpp"
 #include "core/sysid_experiment.hpp"
 #include "core/trace_sim.hpp"
+#include "golden.hpp"
 #include "telemetry/export.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -43,45 +42,6 @@ std::string fmt(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-/// Compares `produced` against the committed golden byte for byte; under
-/// VDC_REGEN_GOLDEN=1 rewrites the golden instead (and skips, so a regen
-/// run is visibly not a verification run).
-void check_golden(const std::string& name, const std::string& produced) {
-  const std::string path = std::string(VDC_GOLDEN_DIR) + "/" + name;
-  if (std::getenv("VDC_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary);
-    out << produced;
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden " << path
-                         << " (run with VDC_REGEN_GOLDEN=1 to create it)";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string expected = buf.str();
-  if (expected == produced) return;
-  // Pinpoint the first differing line instead of dumping both files.
-  std::size_t line = 1;
-  std::size_t i = 0;
-  const std::size_t n = std::min(expected.size(), produced.size());
-  while (i < n && expected[i] == produced[i]) {
-    if (expected[i] == '\n') ++line;
-    ++i;
-  }
-  const auto line_at = [](const std::string& s, std::size_t pos) {
-    const std::size_t begin = s.rfind('\n', pos == 0 ? 0 : pos - 1) + 1;
-    std::size_t end = s.find('\n', pos);
-    if (end == std::string::npos) end = s.size();
-    return s.substr(begin, end - begin);
-  };
-  FAIL() << name << " diverges from its golden at line " << line << ":\n  golden:   "
-         << (i < expected.size() ? line_at(expected, i) : "<eof>") << "\n  produced: "
-         << (i < produced.size() ? line_at(produced, i) : "<eof>")
-         << "\nByte-identity under the flat-topology default is a hard requirement; "
-            "regenerate only if this change in default behavior is intentional.";
 }
 
 // ---- planner stack (the engines behind ablation_packing) --------------------
@@ -232,11 +192,11 @@ TEST(FlatGolden, TestbedSeriesAreByteIdentical) {
 }
 
 TEST(FlatGolden, ShardedTestbedMatchesTheSameGolden) {
-  // The sharded engine against the SAME committed golden as the legacy
-  // engine above: partitioning the apps over 4 parallel shards must not
-  // move a single byte. (The full shard x thread matrix lives in
-  // test_sharding.cpp; this pins the sharded path to the committed file so
-  // a regen of the golden cannot silently paper over a divergence.)
+  // Four parallel shards against the SAME committed golden as the default
+  // single-shard run above: partitioning the apps must not move a single
+  // byte. (The full shard x thread matrix lives in test_sharding.cpp; this
+  // pins a multi-shard layout to the committed file so a regen of the
+  // golden cannot silently paper over a divergence.)
   core::ScenarioSpec spec;
   spec.name = "flat-golden-sharded";
   spec.engine = core::ScenarioSpec::Engine::kTestbed;

@@ -152,57 +152,63 @@ TEST(PowerOptimizer, BackoffNeverDefersHomelessVmPlacements) {
   EXPECT_TRUE(placed);
 }
 
-TEST(PowerOptimizer, BackoffAndHomelessPlansIdenticalAcrossEngines) {
+TEST(PowerOptimizer, BackoffAndHomelessPlanSequence) {
   // The backoff machinery (defer moves for recently failed VMs, but never
-  // defer a homeless re-placement) filters and re-plans around whatever the
-  // consolidation engine proposes. Run the same fault sequence through the
-  // fast and naive engines: every intermediate plan must be move-for-move
-  // identical, so the backoff interplay cannot depend on which engine is
-  // configured.
-  auto run = [](ConsolidationEngine engine) {
-    Cluster c = scattered_cluster();
-    Vm vm;
-    vm.cpu_demand_ghz = 0.5;
-    vm.memory_mb = 256.0;
-    const datacenter::VmId homeless = c.add_vm(vm);  // no host: starts homeless
+  // defer a homeless re-placement) filters and re-plans around whatever
+  // IPAC proposes. Drive one fault sequence and pin every intermediate
+  // plan: consolidate everything onto the efficient quad, then — with
+  // every move failed — only the homeless re-placement, then the original
+  // plan again once the backoff expires. (Fast vs naive plan identity is
+  // the consolidation equivalence suite's job.)
+  Cluster c = scattered_cluster();
+  Vm vm;
+  vm.cpu_demand_ghz = 0.5;
+  vm.memory_mb = 256.0;
+  const datacenter::VmId homeless = c.add_vm(vm);  // no host: starts homeless
 
-    OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac, 1.0);
-    config.engine = engine;
-    config.migration_backoff_s = 300.0;
-    PowerOptimizer optimizer(config);
+  OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac, 1.0);
+  config.migration_backoff_s = 300.0;
+  PowerOptimizer optimizer(config);
 
-    std::vector<consolidate::PlacementPlan> plans;
-    plans.push_back(optimizer.plan(c, 0.0));
-    // Every proposed migration fails, including the homeless placement's
-    // restart target: the next plan may only re-place the homeless VM.
-    for (const consolidate::Move& move : plans.back().moves) {
-      optimizer.note_migration_failure(move.vm, 0.0);
-    }
-    optimizer.note_migration_failure(homeless, 0.0);
-    plans.push_back(optimizer.plan(c, 100.0));  // backoff window open
-    plans.push_back(optimizer.plan(c, 400.0));  // backoff expired
-    return plans;
-  };
-
-  const std::vector<consolidate::PlacementPlan> fast = run(ConsolidationEngine::kFast);
-  const std::vector<consolidate::PlacementPlan> naive = run(ConsolidationEngine::kNaive);
-  ASSERT_EQ(fast.size(), naive.size());
-  for (std::size_t p = 0; p < fast.size(); ++p) {
-    ASSERT_EQ(fast[p].moves.size(), naive[p].moves.size()) << "plan " << p;
-    for (std::size_t m = 0; m < fast[p].moves.size(); ++m) {
-      EXPECT_EQ(fast[p].moves[m].vm, naive[p].moves[m].vm) << "plan " << p;
-      EXPECT_EQ(fast[p].moves[m].from, naive[p].moves[m].from) << "plan " << p;
-      EXPECT_EQ(fast[p].moves[m].to, naive[p].moves[m].to) << "plan " << p;
-    }
-    EXPECT_EQ(fast[p].unplaced, naive[p].unplaced) << "plan " << p;
+  const consolidate::PlacementPlan first = optimizer.plan(c, 0.0);
+  // Every proposed migration fails, including the homeless placement's
+  // restart target: the next plan may only re-place the homeless VM.
+  for (const consolidate::Move& move : first.moves) {
+    optimizer.note_migration_failure(move.vm, 0.0);
   }
-  // The sequence exercised what it claims: moves proposed, then a deferral
-  // window with only the homeless re-placement allowed, then a retry.
-  ASSERT_FALSE(fast[0].moves.empty());
-  for (const consolidate::Move& move : fast[1].moves) {
-    EXPECT_EQ(move.from, datacenter::kNoServer);
+  optimizer.note_migration_failure(homeless, 0.0);
+  const consolidate::PlacementPlan deferred = optimizer.plan(c, 100.0);  // window open
+  const consolidate::PlacementPlan retried = optimizer.plan(c, 400.0);   // expired
+
+  // First plan: both scattered VMs and the homeless one land on server 0.
+  ASSERT_EQ(first.moves.size(), 3u);
+  std::vector<consolidate::Move> from_hosts;
+  std::vector<consolidate::Move> homeless_moves;
+  for (const consolidate::Move& move : first.moves) {
+    EXPECT_EQ(move.to, 0u) << "vm " << move.vm;
+    (move.from == datacenter::kNoServer ? homeless_moves : from_hosts).push_back(move);
   }
-  ASSERT_FALSE(fast[2].moves.empty());
+  ASSERT_EQ(homeless_moves.size(), 1u);
+  EXPECT_EQ(homeless_moves[0].vm, homeless);
+  EXPECT_EQ(from_hosts.size(), 2u);
+  EXPECT_TRUE(first.unplaced.empty());
+
+  // Inside the window: exactly the homeless re-placement survives.
+  ASSERT_EQ(deferred.moves.size(), 1u);
+  EXPECT_EQ(deferred.moves[0].vm, homeless);
+  EXPECT_EQ(deferred.moves[0].from, datacenter::kNoServer);
+  EXPECT_EQ(deferred.moves[0].to, homeless_moves[0].to);
+  EXPECT_TRUE(deferred.unplaced.empty());
+  EXPECT_EQ(optimizer.moves_deferred(), 2u);
+
+  // After expiry the unchanged cluster gets the first plan, move for move.
+  ASSERT_EQ(retried.moves.size(), first.moves.size());
+  for (std::size_t m = 0; m < first.moves.size(); ++m) {
+    EXPECT_EQ(retried.moves[m].vm, first.moves[m].vm) << "move " << m;
+    EXPECT_EQ(retried.moves[m].from, first.moves[m].from) << "move " << m;
+    EXPECT_EQ(retried.moves[m].to, first.moves[m].to) << "move " << m;
+  }
+  EXPECT_EQ(retried.unplaced, first.unplaced);
 }
 
 TEST(PowerOptimizer, PlanSkipsFailedServers) {

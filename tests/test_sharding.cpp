@@ -1,26 +1,31 @@
 // Sharded-engine equivalence suite (the differential oracle of the
 // sharding work).
 //
-// The sharded engine partitions the applications into N shards, each with
-// its own event loop, telemetry recorder, and sensor-fault stream, advanced
+// The engine partitions the applications into N >= 1 shards, each with its
+// own event loop, telemetry recorder, and sensor-fault stream, advanced
 // concurrently between control-period barriers. The contract is strict
-// determinism: a run at ANY shard count and ANY thread count must be
-// bit-identical to the single-event-loop legacy engine (shards == 0) —
-// same telemetry bytes, same consolidation decisions, same fault counters.
-// These tests enforce that contract over the healthy optimizer path, a
-// chaos plan touching every shard-relevant fault family, and horizontal
-// replication (whose retire callbacks cross the shard boundary).
+// determinism: a run at ANY shard count and ANY thread count reproduces
+// the committed goldens under tests/golden/sharding_*.csv byte for byte —
+// same telemetry, annotations, consolidation decisions, and fault
+// counters. Those goldens were recorded by the retired single-event-loop
+// engine, so they remain an independent oracle for the barrier protocol —
+// which is also why they must not be regenerated with VDC_REGEN_GOLDEN: a
+// regen would make the sharded engine its own oracle.
+// The scenarios cover the healthy optimizer path, a chaos plan touching
+// every shard-relevant fault family, horizontal replication (whose retire
+// callbacks cross the shard boundary), and external schedules.
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <functional>
-#include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "core/sysid_experiment.hpp"
 #include "fault/plan.hpp"
+#include "golden.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
@@ -30,18 +35,11 @@ namespace {
 
 // ---- ShardedEngine unit behavior --------------------------------------------
 
-TEST(ShardedEngine, LegacyModeAliasesSpine) {
-  sim::ShardedEngine engine(0);
-  EXPECT_EQ(engine.shard_count(), 0u);
-  EXPECT_EQ(&engine.shard(0), &engine.spine());
-  EXPECT_EQ(&engine.shard(5), &engine.spine());
-
-  int fired = 0;
-  engine.spine().schedule(1.0, [&] { ++fired; });
-  engine.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.barriers(), 0u);  // legacy mode: plain run_until, no barriers
-  EXPECT_EQ(engine.now(), 2.0);
+TEST(ShardedEngine, ZeroShardsIsRejected) {
+  // There is no single-loop mode: every engine has at least one shard loop
+  // next to the spine, so a zero count is a configuration error.
+  EXPECT_THROW(sim::ShardedEngine(0), std::invalid_argument);
+  EXPECT_THROW(sim::ShardedEngine(0, 4), std::invalid_argument);
 }
 
 TEST(ShardedEngine, ShardsAreDistinctLoops) {
@@ -112,7 +110,7 @@ TEST(ShardedEngine, NextEventTimeSkipsCancelledEntries) {
   EXPECT_FALSE(sim.next_event_time().has_value());
 }
 
-// ---- Testbed equivalence: sharded == legacy, bit for bit --------------------
+// ---- Testbed equivalence: every layout == the committed golden -------------
 
 /// One identification run shared by every scenario below (the controllers
 /// are instances of the same benchmark app, as on the paper's testbed).
@@ -139,56 +137,56 @@ core::ScenarioSpec base_spec() {
   return spec;
 }
 
-struct RunDigest {
-  std::string csv;
-  std::size_t migrations = 0;
-  std::size_t optimizer_invocations = 0;
-  std::size_t failed_migrations = 0;
-  std::uint64_t scale_outs = 0;
-  std::uint64_t scale_ins = 0;
-  std::size_t fault_total = 0;
-  core::ScenarioResult result;
-};
-
-RunDigest run_with(core::ScenarioSpec spec, std::size_t shards, std::size_t threads) {
-  spec.testbed.shards = shards;
-  spec.testbed.shard_threads = threads;
-  RunDigest digest;
-  digest.result = core::ScenarioRunner().run(spec);
-  digest.csv = telemetry::to_csv(digest.result.recorder);
-  digest.migrations = digest.result.completed_migrations;
-  digest.optimizer_invocations = digest.result.optimizer_invocations;
-  digest.failed_migrations = digest.result.failed_migrations;
-  digest.scale_outs = digest.result.scale_outs;
-  digest.scale_ins = digest.result.scale_ins;
-  digest.fault_total = digest.result.faults.total();
-  return digest;
+/// Everything the equivalence contract covers, as golden text: the
+/// control-plane and fault counters, the annotation table, then the full
+/// telemetry export.
+std::string golden_text(const core::ScenarioResult& r) {
+  const fault::FaultCounters& f = r.faults;
+  std::ostringstream out;
+  out << "counter,value\n"
+      << "completed_migrations," << r.completed_migrations << '\n'
+      << "optimizer_invocations," << r.optimizer_invocations << '\n'
+      << "failed_migrations," << r.failed_migrations << '\n'
+      << "vm_restarts," << r.vm_restarts << '\n'
+      << "stale_holds," << r.stale_holds << '\n'
+      << "scale_outs," << r.scale_outs << '\n'
+      << "scale_ins," << r.scale_ins << '\n'
+      << "faults.total," << f.total() << '\n'
+      << "faults.migration_aborts," << f.migration_aborts << '\n'
+      << "faults.migration_slowdowns," << f.migration_slowdowns << '\n'
+      << "faults.wake_failures," << f.wake_failures << '\n'
+      << "faults.server_crashes," << f.server_crashes << '\n'
+      << "faults.sensor_drops," << f.sensor_drops << '\n'
+      << "faults.sensor_spikes," << f.sensor_spikes << '\n'
+      << "faults.stale_periods," << f.stale_periods << '\n'
+      << "faults.dvfs_pins," << f.dvfs_pins << '\n'
+      << "faults.rack_failures," << f.rack_failures << '\n'
+      << "# annotations\n"
+      << telemetry::annotations_csv(r.recorder) << "# telemetry\n"
+      << telemetry::to_csv(r.recorder);
+  return out.str();
 }
 
-void expect_equivalent(const RunDigest& oracle, const RunDigest& sharded,
-                       const std::string& label) {
-  EXPECT_EQ(oracle.csv, sharded.csv) << label << ": telemetry CSV diverged";
-  EXPECT_TRUE(oracle.result.recorder == sharded.result.recorder)
-      << label << ": recorder contents diverged";
-  EXPECT_EQ(oracle.migrations, sharded.migrations) << label;
-  EXPECT_EQ(oracle.optimizer_invocations, sharded.optimizer_invocations) << label;
-  EXPECT_EQ(oracle.failed_migrations, sharded.failed_migrations) << label;
-  EXPECT_EQ(oracle.scale_outs, sharded.scale_outs) << label;
-  EXPECT_EQ(oracle.scale_ins, sharded.scale_ins) << label;
-  EXPECT_EQ(oracle.fault_total, sharded.fault_total) << label;
+/// Runs `spec` at the given shard layout, checks it against `golden`, and
+/// returns the result for scenario-specific sanity checks.
+core::ScenarioResult expect_golden(core::ScenarioSpec spec, std::size_t shards,
+                                   std::size_t threads, const std::string& golden) {
+  SCOPED_TRACE(golden + " shards=" + std::to_string(shards) +
+               " threads=" + std::to_string(threads));
+  spec.testbed.shards = shards;
+  spec.testbed.shard_threads = threads;
+  core::ScenarioResult result = core::ScenarioRunner().run(spec);
+  check_golden(golden, golden_text(result));
+  return result;
 }
 
 TEST(ShardingEquivalence, OptimizerRunMatchesLegacyAtEveryShardAndThreadCount) {
-  const RunDigest oracle = run_with(base_spec(), 0, 0);
-  ASSERT_FALSE(oracle.csv.empty());
-  EXPECT_GT(oracle.optimizer_invocations, 0u);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                    std::size_t{8}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const RunDigest sharded = run_with(base_spec(), shards, threads);
-      expect_equivalent(oracle, sharded,
-                        "shards=" + std::to_string(shards) +
-                            " threads=" + std::to_string(threads));
+      const core::ScenarioResult result =
+          expect_golden(base_spec(), shards, threads, "sharding_optimizer.csv");
+      EXPECT_GT(result.optimizer_invocations, 0u);
     }
   }
 }
@@ -198,7 +196,7 @@ TEST(ShardingEquivalence, ChaosRunMatchesLegacyAcrossShardCounts) {
   // (drop/spike/stale draw from splitmix64-derived per-app RNGs, so the
   // sequences cannot depend on the shard layout), plus spine-serial dc
   // faults (crash, DVFS pin, migration aborts) that must interleave with
-  // the shard barriers exactly as in the legacy engine.
+  // the shard barriers exactly as in the single-loop recording.
   core::ScenarioSpec spec = base_spec();
   spec.name = "shard-chaos";
   spec.faults.seed = 99;
@@ -209,16 +207,9 @@ TEST(ShardingEquivalence, ChaosRunMatchesLegacyAcrossShardCounts) {
   spec.faults.dvfs_pin(0, 1.2, 60.0, 300.0);
   spec.faults.migration_aborts(0.0, 400.0, 0.5);
 
-  const RunDigest oracle = run_with(spec, 0, 0);
-  EXPECT_GT(oracle.fault_total, 0u);
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const RunDigest sharded = run_with(spec, shards, 4);
-    expect_equivalent(oracle, sharded, "chaos shards=" + std::to_string(shards));
-    EXPECT_EQ(oracle.result.faults.sensor_drops, sharded.result.faults.sensor_drops);
-    EXPECT_EQ(oracle.result.faults.sensor_spikes, sharded.result.faults.sensor_spikes);
-    EXPECT_EQ(oracle.result.faults.stale_periods, sharded.result.faults.stale_periods);
-    EXPECT_EQ(oracle.result.faults.server_crashes, sharded.result.faults.server_crashes);
-    EXPECT_EQ(oracle.result.faults.dvfs_pins, sharded.result.faults.dvfs_pins);
+    const core::ScenarioResult result = expect_golden(spec, shards, 4, "sharding_chaos.csv");
+    EXPECT_GT(result.faults.total(), 0u);
   }
 }
 
@@ -231,32 +222,28 @@ TEST(ShardingEquivalence, ReplicatedRunMatchesLegacy) {
   spec.testbed.initial_replicas = 2;
   spec.testbed.supervisor.enabled = true;
 
-  const RunDigest oracle = run_with(spec, 0, 0);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const RunDigest sharded = run_with(spec, shards, 4);
-    expect_equivalent(oracle, sharded, "replication shards=" + std::to_string(shards));
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    expect_golden(spec, shards, 4, "sharding_replication.csv");
   }
 }
 
 TEST(ShardingEquivalence, ScheduleEventsLandInTheSerialPhase) {
   // External setpoint/concurrency schedules go to the spine; at a shard
-  // count that splits the apps they must still produce the oracle's bytes.
+  // count that splits the apps they must still produce the golden's bytes.
   core::ScenarioSpec spec = base_spec();
   spec.name = "shard-schedules";
   spec.setpoint_schedule.push_back({200.0, 1, 0.6});
   spec.concurrency_schedule.push_back({240.0, 3, 60});
 
-  const RunDigest oracle = run_with(spec, 0, 0);
-  const RunDigest sharded = run_with(spec, 3, 2);
-  expect_equivalent(oracle, sharded, "schedules shards=3");
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    expect_golden(spec, shards, 2, "sharding_schedules.csv");
+  }
 }
 
 TEST(ShardingEquivalence, ShardCountAboveAppCountIsHarmless) {
   // More shards than apps leaves some shards empty; empty loops must not
   // disturb the barrier protocol or the merged recorder layout.
-  const RunDigest oracle = run_with(base_spec(), 0, 0);
-  const RunDigest sharded = run_with(base_spec(), 8, 2);
-  expect_equivalent(oracle, sharded, "shards=8 apps=4");
+  expect_golden(base_spec(), 8, 2, "sharding_optimizer.csv");
 }
 
 }  // namespace

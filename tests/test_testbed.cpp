@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace vdc::core {
@@ -16,10 +19,58 @@ TestbedConfig fast_config() {
   return config;
 }
 
+/// Expects construction to throw std::invalid_argument naming `field`.
+void expect_rejected(const TestbedConfig& config, const std::string& field) {
+  try {
+    const Testbed tb{config};
+    ADD_FAILURE() << "accepted a config with a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << "error does not name " << field << ": " << e.what();
+  }
+}
+
 TEST(Testbed, ValidatesConfiguration) {
   TestbedConfig config = fast_config();
   config.num_apps = 0;
   EXPECT_THROW(Testbed{config}, std::invalid_argument);
+  expect_rejected(config, "num_apps");
+  config = fast_config();
+  config.num_servers = 0;
+  expect_rejected(config, "num_servers");
+}
+
+TEST(Testbed, DefaultsToOneShard) {
+  EXPECT_EQ(TestbedConfig{}.shards, 1u);
+  const Testbed tb{fast_config()};
+  EXPECT_EQ(tb.engine().shard_count(), 1u);
+}
+
+TEST(Testbed, RejectsZeroShards) {
+  TestbedConfig config = fast_config();
+  config.shards = 0;
+  expect_rejected(config, "shards");
+}
+
+TEST(Testbed, RejectsNonPositiveOrNonFiniteControlPeriod) {
+  for (const double period : {0.0, -4.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    TestbedConfig config = fast_config();
+    config.control_period_s = period;
+    expect_rejected(config, "control_period_s");
+  }
+}
+
+TEST(Testbed, RejectsNonPositiveOrNonFiniteOptimizerPeriod) {
+  // Regression: optimizer_period_s = 0 used to reschedule the optimizer
+  // tick at the same instant forever, hanging run_until.
+  for (const double period : {0.0, -300.0, std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity()}) {
+    TestbedConfig config = fast_config();
+    config.enable_optimizer = true;
+    config.optimizer_period_s = period;
+    expect_rejected(config, "optimizer_period_s");
+  }
 }
 
 TEST(Testbed, IdentifiedModelIsPlausible) {
@@ -217,12 +268,14 @@ TEST(Testbed, SupervisorScalesOutUnderSurgeAndCreatesVms) {
   EXPECT_EQ(tb.cluster().vm_count(), vms_before + tb.scale_out_count());
   EXPECT_EQ(tb.cluster().live_vm_count(),
             vms_before + tb.scale_out_count() - tb.scale_in_count());
-  // Replica counts and live-VM totals are on the recorder when scaling is on.
-  EXPECT_TRUE(tb.recorder().has(replica_series_name(0)));
-  EXPECT_TRUE(tb.recorder().has(kLiveVmsSeries));
   // The surge is re-attained: settled response time back near the setpoint.
   const util::RunningStats late = tb.response_stats_after(0, 700.0);
   EXPECT_LT(late.mean(), 1.3);
+  // Replica counts (per app, shard-recorded) and live-VM totals (cluster)
+  // are both in the merged recording when scaling is on.
+  const telemetry::Recorder recorded = tb.take_recorder();
+  EXPECT_TRUE(recorded.has(replica_series_name(0)));
+  EXPECT_TRUE(recorded.has(kLiveVmsSeries));
 }
 
 TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
@@ -231,10 +284,14 @@ TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
   // to the pre-replication format.
   Testbed tb{fast_config()};
   tb.run_until(100.0);
-  EXPECT_FALSE(tb.recorder().has(replica_series_name(0)));
-  EXPECT_FALSE(tb.recorder().has(kLiveVmsSeries));
   EXPECT_EQ(tb.scale_out_count(), 0u);
   EXPECT_EQ(tb.scale_in_count(), 0u);
+  // Checked on the merged view: the control-plane recorder alone never
+  // holds per-app series, so a check there would pass vacuously.
+  const telemetry::Recorder recorded = tb.take_recorder();
+  ASSERT_TRUE(recorded.has(response_series_name(0)));
+  EXPECT_FALSE(recorded.has(replica_series_name(0)));
+  EXPECT_FALSE(recorded.has(kLiveVmsSeries));
 }
 
 }  // namespace
