@@ -1,11 +1,13 @@
 // Streaming-telemetry performance harness.
 //
-// Measures the tiered tsdb store against the retained raw-vector recorder
-// backend: append throughput, storage cost (bytes/sample from the engine's
-// deterministic storage model) at 1-hour and 1-week horizons, a week-long
-// fleet-scale stream across many metrics with ops-style retention, and
-// range-query latency per tier. Results are written as machine-readable
-// JSON (BENCH_telemetry.json) so CI can gate on storage regressions.
+// Measures the Recorder's tiered tsdb store: append throughput (next to a
+// plain std::vector<double> push_back loop as the floor), storage cost
+// (bytes/sample from the engine's deterministic storage model) at 1-hour
+// and 1-week horizons, a week-long fleet-scale stream across many metrics
+// with ops-style retention, and range-query latency per tier. Results are
+// written as machine-readable JSON (BENCH_telemetry.json) so CI can gate on
+// storage regressions; the JSON names the host (CPU model and hardware
+// threads) it was measured on.
 //
 // Flags:
 //   --quick                    smaller metric counts / shorter streams
@@ -19,8 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/recorder.hpp"
@@ -30,7 +34,6 @@
 namespace {
 
 using vdc::telemetry::Recorder;
-using vdc::telemetry::RecorderConfig;
 using vdc::telemetry::tsdb::MetricId;
 using vdc::telemetry::tsdb::Tier;
 using vdc::telemetry::tsdb::Tsdb;
@@ -41,13 +44,46 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return s > 0.0 ? s : 1e-9;  // clock granularity floor
 }
 
-/// Appends `n` samples into a recorder backend and reports appends/sec.
-double recorder_append_rate(RecorderConfig config, std::size_t n) {
-  Recorder rec(config);
+/// Appends `n` samples through the Recorder front door and reports
+/// appends/sec.
+double recorder_append_rate(std::size_t n) {
+  Recorder rec;
   vdc::util::Rng rng(1);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i) rec.append("m", rng.uniform(0.0, 2.0));
   return static_cast<double>(n) / seconds_since(t0);
+}
+
+/// The same `n` draws pushed onto a plain std::vector<double>: the floor
+/// any append path is compared against.
+double vector_push_back_rate(std::size_t n) {
+  std::vector<double> samples;
+  vdc::util::Rng rng(1);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < n; ++i) samples.push_back(rng.uniform(0.0, 2.0));
+  const double rate = static_cast<double>(n) / seconds_since(t0);
+  if (samples.size() != n) std::abort();  // keeps the loop observable
+  return rate;
+}
+
+/// CPU model from /proc/cpuinfo ("unknown" elsewhere), for the JSON's host
+/// block: rates from different hosts are not comparable.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    const std::size_t start =
+        colon == std::string::npos ? colon : line.find_first_not_of(" \t", colon + 1);
+    if (start == std::string::npos) break;
+    std::string model = line.substr(start);
+    for (char& c : model) {
+      if (c == '"' || c == '\\') c = ' ';
+    }
+    return model;
+  }
+  return "unknown";
 }
 
 struct HorizonResult {
@@ -173,18 +209,19 @@ int main(int argc, char** argv) {
   constexpr double kWeekS = 7.0 * 24.0 * 3600.0;
   constexpr double kControlPeriodS = 4.0;
 
-  std::printf("# perf_telemetry: tiered tsdb store vs raw-vector recorder backend\n");
+  const std::string host_cpu = cpu_model();
+  const unsigned host_threads = std::thread::hardware_concurrency();
+  std::printf("# perf_telemetry: tiered tsdb store (host: %s, %u hardware threads)\n",
+              host_cpu.c_str(), host_threads);
 
   // ---- append throughput through the Recorder front door -------------------
   const std::size_t n_appends = quick ? 200'000 : 2'000'000;
-  RecorderConfig tsdb_backend;
-  tsdb_backend.backend = RecorderConfig::Backend::kTsdb;
-  const double tsdb_rate = recorder_append_rate(tsdb_backend, n_appends);
-  const double raw_rate = recorder_append_rate(RecorderConfig{}, n_appends);
-  std::printf("\n%-28s %16s\n", "backend", "appends/sec");
-  std::printf("%-28s %16.0f\n", "recorder/tsdb", tsdb_rate);
-  std::printf("%-28s %16.0f\n", "recorder/raw-vectors", raw_rate);
-  std::printf("%-28s %15.2fx\n", "tsdb/raw ratio", tsdb_rate / raw_rate);
+  const double tsdb_rate = recorder_append_rate(n_appends);
+  const double vector_rate = vector_push_back_rate(n_appends);
+  std::printf("\n%-28s %16s\n", "append path", "appends/sec");
+  std::printf("%-28s %16.0f\n", "recorder (tsdb)", tsdb_rate);
+  std::printf("%-28s %16.0f\n", "std::vector push_back", vector_rate);
+  std::printf("%-28s %15.2fx\n", "recorder/vector ratio", tsdb_rate / vector_rate);
 
   // ---- storage at 1-hour and 1-week horizons (default config) --------------
   // One sample per 4 s control period, default retention: the week horizon
@@ -222,13 +259,13 @@ int main(int argc, char** argv) {
   const auto fleet_samples = static_cast<std::size_t>(kWeekS / fleet_period_s);
   const HorizonResult fleet =
       run_horizon(fleet_config, fleet_metrics, fleet_samples, fleet_period_s);
-  const double raw_backend_bytes =
+  const double plain_vector_bytes =
       static_cast<double>(fleet_metrics * fleet_samples) * static_cast<double>(sizeof(double));
-  std::printf("\n# fleet week: %zu metrics x %zu samples -> %.1f MiB (raw vectors: %.1f "
+  std::printf("\n# fleet week: %zu metrics x %zu samples -> %.1f MiB (plain vectors: %.1f "
               "MiB), %.2f bytes/sample, %s\n",
               fleet.metrics, fleet.samples_per_metric,
               static_cast<double>(fleet.memory_bytes) / (1024.0 * 1024.0),
-              raw_backend_bytes / (1024.0 * 1024.0), fleet.bytes_per_sample,
+              plain_vector_bytes / (1024.0 * 1024.0), fleet.bytes_per_sample,
               fleet.within_budget ? "within page budget" : "OVER PAGE BUDGET");
 
   // ---- query latency against a week-long stream ----------------------------
@@ -250,11 +287,13 @@ int main(int argc, char** argv) {
   // ---- JSON ----------------------------------------------------------------
   std::string json = "{\n  \"bench\": \"perf_telemetry\",\n";
   json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
+  json += "  \"host\": {\"cpu\": \"" + host_cpu +
+          "\", \"hardware_threads\": " + std::to_string(host_threads) + "},\n";
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "  \"append\": {\"tsdb_appends_per_sec\": %.0f, \"raw_appends_per_sec\": "
-                "%.0f, \"tsdb_vs_raw\": %.3f},\n",
-                tsdb_rate, raw_rate, tsdb_rate / raw_rate);
+                "  \"append\": {\"tsdb_appends_per_sec\": %.0f, "
+                "\"vector_push_back_per_sec\": %.0f, \"tsdb_vs_vector\": %.3f},\n",
+                tsdb_rate, vector_rate, tsdb_rate / vector_rate);
   json += buf;
   json += "  \"horizons\": {\n";
   append_horizon_json(json, "1h", hour);

@@ -60,7 +60,6 @@ WorkingPlacement::WorkingPlacement(const DataCenterSnapshot& snapshot)
     }
     for (const RackSnapshot& rack : snapshot.racks) {
       if (rack_occupied_[rack.id] == 0) continue;
-      ++occupied_rack_count_;
       compensated_add(power_total_w_, power_compensation_w_, rack.shared_power_w);
     }
     for (const PodSnapshot& pod : snapshot.pods) {
@@ -91,7 +90,6 @@ void WorkingPlacement::note_occupied(ServerId server) {
   if (snapshot_->racks.empty()) return;
   const ServerSnapshot& info = snapshot_->server(server);
   if (info.rack != datacenter::kNoRack && rack_occupied_[info.rack]++ == 0) {
-    ++occupied_rack_count_;
     compensated_add(power_total_w_, power_compensation_w_, snapshot_->racks[info.rack].shared_power_w);
   }
   if (info.pod != datacenter::kNoPod && pod_occupied_[info.pod]++ == 0) {
@@ -103,7 +101,6 @@ void WorkingPlacement::note_emptied(ServerId server) {
   if (snapshot_->racks.empty()) return;
   const ServerSnapshot& info = snapshot_->server(server);
   if (info.rack != datacenter::kNoRack && --rack_occupied_[info.rack] == 0) {
-    --occupied_rack_count_;
     compensated_add(power_total_w_, power_compensation_w_,
                     -snapshot_->racks[info.rack].shared_power_w);
   }

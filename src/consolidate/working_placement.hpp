@@ -62,15 +62,14 @@ class WorkingPlacement {
   [[nodiscard]] std::size_t occupied_server_count() const noexcept { return occupied_count_; }
   [[nodiscard]] bool occupied(ServerId server) const { return !hosted_.at(server).empty(); }
 
-  /// Occupied member servers of a rack / pod, and racks with >= 1 occupied
-  /// member. All O(1), maintained incrementally on place/remove so budgeted
-  /// rack-aware scoring (does this move empty a rack? light one up?) never
-  /// rescans the fleet. Meaningful only when the snapshot carries racks.
+  /// Occupied member servers of a rack / pod. Both O(1), maintained
+  /// incrementally on place/remove so budgeted rack-aware scoring (does
+  /// this move empty a rack? light one up?) never rescans the fleet.
+  /// Meaningful only when the snapshot carries racks.
   [[nodiscard]] std::size_t rack_occupied_count(RackId rack) const {
     return rack_occupied_.at(rack);
   }
   [[nodiscard]] std::size_t pod_occupied_count(PodId pod) const { return pod_occupied_.at(pod); }
-  [[nodiscard]] std::size_t occupied_rack_count() const noexcept { return occupied_rack_count_; }
 
   /// CPU slack of a server: capacity * utilization_target - demand. Uses
   /// target 1.0; Minimum Slack passes its own target through constraints.
@@ -121,7 +120,6 @@ class WorkingPlacement {
   std::size_t occupied_count_ = 0;
   std::vector<std::uint32_t> rack_occupied_;  // per rack: occupied member servers
   std::vector<std::uint32_t> pod_occupied_;   // per pod: occupied member servers
-  std::size_t occupied_rack_count_ = 0;
   SlackIndex* slack_observer_ = nullptr;
   mutable std::vector<const VmSnapshot*> scratch_;  // generic admits_with
 };

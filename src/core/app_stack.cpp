@@ -1,6 +1,8 @@
 #include "core/app_stack.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace vdc::core {
@@ -200,6 +202,10 @@ double AppStack::last_measurement() const noexcept {
 
 void AppStack::set_setpoint(double setpoint_s) {
   if (!controller_) throw std::logic_error("AppStack: policy-driven stack has no setpoint");
+  if (!(std::isfinite(setpoint_s) && setpoint_s > 0.0)) {
+    throw std::invalid_argument("AppStack::set_setpoint: setpoint_s must be finite and > 0, got " +
+                                std::to_string(setpoint_s));
+  }
   sla_setpoint_ = setpoint_s;
   controller_->set_setpoint(setpoint_s);
 }

@@ -139,9 +139,6 @@ class AppStack {
   [[nodiscard]] std::vector<ScaleDecision> take_scale_decisions();
   /// Applies (and clears) the pending scale decisions directly to the app.
   void apply_scaling();
-  /// True when the supervisor is enabled or any tier starts with more than
-  /// one replica — gates the replica telemetry series.
-  [[nodiscard]] bool replication_active() const noexcept { return replication_active_; }
   [[nodiscard]] const ScalingSupervisor* supervisor() const noexcept {
     return supervisor_ ? &*supervisor_ : nullptr;
   }
@@ -162,6 +159,8 @@ class AppStack {
   /// measurement in MPC mode).
   [[nodiscard]] double last_measurement() const noexcept;
 
+  /// Retargets the SLA at run time (setpoint schedules call this); throws
+  /// std::invalid_argument for a non-finite or non-positive `setpoint_s`.
   void set_setpoint(double setpoint_s);
   void set_concurrency(std::size_t concurrency) { app_->set_concurrency(concurrency); }
 

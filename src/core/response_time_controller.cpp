@@ -77,14 +77,14 @@ std::vector<double> ResponseTimeController::control(
   // Windowed majority vote: occasional QP wobble must not reset the
   // detector, but a genuine recovery (violation clears) must.
   history_.push_back(violated && (railed || stalled));
-  if (history_.size() > window_) history_.erase(history_.begin());
+  if (history_.size() > kWindow) history_.erase(history_.begin());
   if (!violated) {
     infeasible_ = false;
     history_.clear();
-  } else if (history_.size() == window_) {
+  } else if (history_.size() == kWindow) {
     const auto hits = static_cast<std::size_t>(
         std::count(history_.begin(), history_.end(), true));
-    if (hits * 5 >= window_ * 4) infeasible_ = true;  // >= 80% of the window
+    if (hits * 5 >= kWindow * 4) infeasible_ = true;  // >= 80% of the window
   }
   return demands;
 }

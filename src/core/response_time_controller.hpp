@@ -56,9 +56,6 @@ class ResponseTimeController {
   }
   [[nodiscard]] double last_measurement() const noexcept { return last_measurement_; }
   [[nodiscard]] const control::MpcController& mpc() const noexcept { return mpc_; }
-  [[nodiscard]] std::vector<double> current_demands() const {
-    return mpc_.current_allocations();
-  }
 
   /// True when the SLA has been violated for `infeasibility_window()`
   /// consecutive periods while CPU re-allocation has stopped helping
@@ -66,8 +63,7 @@ class ResponseTimeController {
   /// violation) — the set point cannot be reached through CPU adaptation
   /// alone (I/O bound, or simply unreachable).
   [[nodiscard]] bool sla_infeasible() const noexcept { return infeasible_; }
-  [[nodiscard]] std::size_t infeasibility_window() const noexcept { return window_; }
-  void set_infeasibility_window(std::size_t periods) noexcept { window_ = periods; }
+  [[nodiscard]] static constexpr std::size_t infeasibility_window() noexcept { return kWindow; }
 
   /// Periods degraded to hold() because the harvest was flagged stale.
   [[nodiscard]] std::size_t stale_holds() const noexcept { return stale_holds_; }
@@ -80,7 +76,7 @@ class ResponseTimeController {
   /// Measurement as fed to the MPC (median-filtered in the robust variant;
   /// identical to last_measurement_ otherwise).
   double fed_measurement_;
-  std::size_t window_ = 8;
+  static constexpr std::size_t kWindow = 8;
   std::vector<bool> history_;  // per-period "violated and not improving"
   std::vector<double> previous_demands_;
   bool infeasible_ = false;

@@ -27,11 +27,7 @@ const std::vector<double>& ScenarioResult::power_series() const {
 
 util::RunningStats ScenarioResult::response_stats_after(std::size_t app,
                                                         double from_s) const {
-  util::RunningStats stats;
-  const std::vector<double>& series = response_series(app);
-  const auto first = static_cast<std::size_t>(from_s / control_period_s);
-  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
-  return stats;
+  return stats_after(response_series(app), from_s, control_period_s);
 }
 
 namespace {
@@ -45,9 +41,8 @@ ScenarioResult run_app_stack(const ScenarioSpec& spec) {
   AppStackConfig stack = spec.stack;
   if (spec.seed != 0) stack.app.seed = spec.seed;
 
-  telemetry::RecorderConfig recorder_config = spec.telemetry;
-  recorder_config.sample_period_s = stack.mpc.period_s;
-  result.recorder = telemetry::Recorder(recorder_config);
+  result.recorder = telemetry::Recorder(
+      telemetry::RecorderConfig{.sample_period_s = stack.mpc.period_s, .tsdb = {}});
 
   sim::Simulation sim;
   std::unique_ptr<AppStack> app_stack;
@@ -101,7 +96,6 @@ ScenarioResult run_testbed(const ScenarioSpec& spec) {
   if (spec.seed != 0) config.seed = spec.seed;
   if (spec.model) config.model = spec.model;
   if (spec.faults.enabled()) config.faults = spec.faults;
-  config.telemetry = spec.telemetry;  // Testbed pins sample_period_s itself
   result.control_period_s = config.control_period_s;
   result.app_count = config.num_apps;
 

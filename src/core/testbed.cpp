@@ -31,6 +31,10 @@ TestbedConfig validated(TestbedConfig config) {
     throw std::invalid_argument("TestbedConfig::control_period_s must be finite and > 0, got " +
                                 std::to_string(config.control_period_s));
   }
+  if (!positive_finite(config.setpoint_s)) {
+    throw std::invalid_argument("TestbedConfig::setpoint_s must be finite and > 0, got " +
+                                std::to_string(config.setpoint_s));
+  }
   if (config.enable_optimizer && !positive_finite(config.optimizer_period_s)) {
     throw std::invalid_argument(
         "TestbedConfig::optimizer_period_s must be finite and > 0 when enable_optimizer is "
@@ -333,16 +337,16 @@ const std::vector<std::vector<double>>& Testbed::allocation_series(std::size_t a
   return recorder_for_app(app).rows(allocation_series_name(app));
 }
 
-app::PeriodStats Testbed::lifetime_stats(std::size_t app) const {
-  return stacks_.at(app)->monitor().lifetime();
+util::RunningStats stats_after(const std::vector<double>& series, double from_s,
+                               double period_s) {
+  util::RunningStats stats;
+  const auto first = static_cast<std::size_t>(from_s / period_s);
+  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
+  return stats;
 }
 
 util::RunningStats Testbed::response_stats_after(std::size_t app, double from_s) const {
-  util::RunningStats stats;
-  const std::vector<double>& series = response_series(app);
-  const auto first = static_cast<std::size_t>(from_s / config_.control_period_s);
-  for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
-  return stats;
+  return stats_after(response_series(app), from_s, config_.control_period_s);
 }
 
 void Testbed::run_until(double until_s) {
@@ -554,33 +558,7 @@ void Testbed::record_power(double now) {
         (capacity > 0.0 && interval > 0.0) ? server_work[s] / (capacity * interval) : 0.0;
     total_power += server.power_w(utilization);
   }
-  // Shared infrastructure draw: a rack's switch/fans burn while any member
-  // is awake, a pod's fabric while any member rack is lit. Flat testbeds
-  // (empty topology) skip both loops and record the historical series.
-  const datacenter::Topology& topo = cluster_.topology();
-  if (!topo.empty()) {
-    for (datacenter::RackId r = 0; r < topo.rack_count(); ++r) {
-      for (const datacenter::ServerId member : topo.servers_in(r)) {
-        if (member < cluster_.server_count() && cluster_.server(member).active()) {
-          total_power += topo.rack_shared_power_w(r);
-          break;
-        }
-      }
-    }
-    for (datacenter::PodId p = 0; p < topo.pod_count(); ++p) {
-      bool lit = false;
-      for (const datacenter::RackId r : topo.racks_in(p)) {
-        for (const datacenter::ServerId member : topo.servers_in(r)) {
-          if (member < cluster_.server_count() && cluster_.server(member).active()) {
-            lit = true;
-            break;
-          }
-        }
-        if (lit) break;
-      }
-      if (lit) total_power += topo.pod_shared_power_w(p);
-    }
-  }
+  total_power = cluster_.add_shared_power_w(total_power);
   if (interval > 0.0) recorder_.append_at(kPowerSeries, now, total_power);
   last_power_time_s_ = now;
 }

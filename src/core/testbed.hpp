@@ -125,16 +125,10 @@ struct TestbedConfig {
   std::size_t shard_threads = 0;
 
   // ---- telemetry storage --------------------------------------------------
-  /// Recorder backend. Defaults to the tiered tsdb store so every figure
-  /// bench and golden test exercises the streaming path; with the default
-  /// retention covering a full testbed run its exports are byte-identical
-  /// to the raw-vector oracle (Backend::kRawVectors, the historical
-  /// behavior). `sample_period_s` is overwritten with `control_period_s`.
-  telemetry::RecorderConfig telemetry{
-      .backend = telemetry::RecorderConfig::Backend::kTsdb,
-      .sample_period_s = 4.0,
-      .tsdb = {},
-  };
+  /// Recorder (tsdb) retention. The default retention covers a full
+  /// testbed run, so exports hold every sample (pinned by the committed
+  /// goldens). `sample_period_s` is overwritten with `control_period_s`.
+  telemetry::RecorderConfig telemetry;
 
   // ---- chaos (fault injection) -------------------------------------------
   /// Deterministic fault schedule threaded through the co-simulation:
@@ -159,12 +153,18 @@ inline constexpr const char* kLiveVmsSeries = "cluster/live_vms";
 inline constexpr const char* kFaultsInjectedSeries = "fault/injected_total";
 inline constexpr const char* kFailedMigrationsSeries = "fault/failed_migrations";
 
+/// Statistics over the samples of a once-per-period series recorded after
+/// `from_s` (skip settling). Testbed and ScenarioResult both read their
+/// response series through this.
+[[nodiscard]] util::RunningStats stats_after(const std::vector<double>& series, double from_s,
+                                             double period_s);
+
 class Testbed {
  public:
   /// Throws std::invalid_argument, naming the field, for a config that
   /// cannot run: no apps or servers, zero `shards`, a non-finite or
-  /// non-positive `control_period_s`, or (with `enable_optimizer`) a
-  /// non-finite or non-positive `optimizer_period_s`.
+  /// non-positive `control_period_s` or `setpoint_s`, or (with
+  /// `enable_optimizer`) a non-finite or non-positive `optimizer_period_s`.
   explicit Testbed(TestbedConfig config);
 
   /// Advances the co-simulation (control loop + applications) to absolute
@@ -203,8 +203,6 @@ class Testbed {
   [[nodiscard]] const std::vector<double>& power_series() const;
   [[nodiscard]] const std::vector<std::vector<double>>& allocation_series(
       std::size_t app) const;
-  /// Response-time statistics over everything since construction.
-  [[nodiscard]] app::PeriodStats lifetime_stats(std::size_t app) const;
   /// Statistics over periods recorded after `from_s` (skip settling).
   [[nodiscard]] util::RunningStats response_stats_after(std::size_t app, double from_s) const;
 

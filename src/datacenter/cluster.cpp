@@ -165,37 +165,41 @@ double Cluster::arbitrate_and_power_w(bool dvfs) {
     if (racked) per_server[id] = power;
   }
   if (racked) {
-    // Shared infrastructure: a rack's PDU/cooling/ToR draw is paid while
-    // any member is awake; a pod's aggregation draw likewise. A rack the
-    // consolidator fully evacuates therefore switches its share off.
     for (RackId rack = 0; rack < topology_.rack_count(); ++rack) {
       double members = 0.0;
-      bool awake = false;
       for (const ServerId s : topology_.servers_in(rack)) {
-        if (s >= servers_.size()) continue;
-        members += per_server[s];
-        awake = awake || servers_[s].active();
+        if (s < servers_.size()) members += per_server[s];
       }
+      const bool awake = rack_powered(rack);
       const double shared = awake ? topology_.rack_shared_power_w(rack) : 0.0;
       audit::rack_power(rack, awake, topology_.rack_shared_power_w(rack), members,
                         members + shared);
-      total += shared;
-    }
-    for (PodId pod = 0; pod < topology_.pod_count(); ++pod) {
-      bool awake = false;
-      for (const RackId rack : topology_.racks_in(pod)) {
-        for (const ServerId s : topology_.servers_in(rack)) {
-          if (s < servers_.size() && servers_[s].active()) {
-            awake = true;
-            break;
-          }
-        }
-        if (awake) break;
-      }
-      if (awake) total += topology_.pod_shared_power_w(pod);
     }
   }
-  return total;
+  return add_shared_power_w(total);
+}
+
+bool Cluster::rack_powered(RackId rack) const {
+  for (const ServerId s : topology_.servers_in(rack)) {
+    if (s < servers_.size() && servers_[s].active()) return true;
+  }
+  return false;
+}
+
+double Cluster::add_shared_power_w(double total_w) const {
+  // Shared infrastructure: a rack's PDU/cooling/ToR draw is paid while any
+  // member is awake; a pod's aggregation draw while any member rack is. A
+  // rack the consolidator fully evacuates therefore switches its share off.
+  for (RackId rack = 0; rack < topology_.rack_count(); ++rack) {
+    if (rack_powered(rack)) total_w += topology_.rack_shared_power_w(rack);
+  }
+  for (PodId pod = 0; pod < topology_.pod_count(); ++pod) {
+    const std::span<const RackId> racks = topology_.racks_in(pod);
+    if (std::any_of(racks.begin(), racks.end(), [&](RackId r) { return rack_powered(r); })) {
+      total_w += topology_.pod_shared_power_w(pod);
+    }
+  }
+  return total_w;
 }
 
 std::size_t Cluster::sleep_idle_servers() {

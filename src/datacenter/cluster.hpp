@@ -65,6 +65,11 @@ class Cluster {
   /// for the current demands (when `dvfs` is true; max frequency otherwise)
   /// and returns total power. Sleeping servers contribute sleep power.
   double arbitrate_and_power_w(bool dvfs = true);
+  /// Adds the shared-infrastructure draw to `total_w`: each powered-on
+  /// rack's share (>= 1 awake member), then each powered-on pod's (>= 1
+  /// powered-on rack), in index order. Returns `total_w` unchanged for a
+  /// flat cluster (empty topology).
+  [[nodiscard]] double add_shared_power_w(double total_w) const;
 
   /// Puts every active server hosting no VMs to sleep; returns how many
   /// were transitioned.
@@ -110,6 +115,8 @@ class Cluster {
   void check_server(ServerId id) const;
   void check_vm(VmId id) const;
   void detach(VmId vm);
+  /// A rack is powered on while any of its member servers is awake.
+  [[nodiscard]] bool rack_powered(RackId rack) const;
 
   std::vector<Server> servers_;
   std::vector<Vm> vms_;

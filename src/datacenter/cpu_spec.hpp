@@ -22,9 +22,6 @@ struct CpuSpec {
   [[nodiscard]] double max_capacity_ghz() const noexcept {
     return capacity_at_ghz(max_freq_ghz);
   }
-  [[nodiscard]] double min_freq_ghz() const {
-    return dvfs_freqs_ghz.empty() ? max_freq_ghz : dvfs_freqs_ghz.front();
-  }
 
   /// Lowest DVFS frequency whose capacity covers `demand_ghz`; returns the
   /// max frequency when even that is insufficient.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -22,11 +23,16 @@ std::string format_sample(double value) {
   return std::string(buffer, ptr);
 }
 
-double parse_sample(const std::string& cell) {
+/// Parses one imported cell. The tsdb store drops a NaN sample, which would
+/// shift the column's later samples up a row, and an infinity poisons its
+/// rollups; both are rejected here, where the column and row can be named.
+double parse_sample(const std::string& cell, const std::string& column, std::size_t row) {
   double value = 0.0;
   const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), value);
-  if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-    throw std::runtime_error("telemetry: cell '" + cell + "' is not numeric");
+  if (ec != std::errc{} || ptr != cell.data() + cell.size() || !std::isfinite(value)) {
+    throw std::runtime_error("telemetry::from_csv: column '" + column + "' row " +
+                             std::to_string(row + 1) + ": cell '" + cell +
+                             "' is not a finite number");
   }
   return value;
 }
@@ -124,19 +130,22 @@ void write_csv_file(const Recorder& recorder, const std::filesystem::path& path)
 
 Recorder from_csv(std::string_view text) {
   const util::CsvTable table = util::parse_csv(text);
-  Recorder recorder;
+  RecorderConfig config;
+  config.tsdb.tier0_max_pages = 0;
+  Recorder recorder(config);
   // Column metadata, preserving vector-column grouping.
   std::vector<std::optional<VectorColumn>> vector_columns;
   vector_columns.reserve(table.header.size());
   for (const std::string& column : table.header) {
     vector_columns.push_back(parse_vector_column(column));
   }
-  for (const std::vector<std::string>& row : table.rows) {
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    const std::vector<std::string>& row = table.rows[r];
     for (std::size_t c = 0; c < table.header.size(); ++c) {
       if (c >= row.size() || row[c].empty()) continue;
       if (vector_columns[c] && vector_columns[c]->index > 0) continue;  // handled below
       if (!vector_columns[c]) {
-        recorder.append(table.header[c], parse_sample(row[c]));
+        recorder.append(table.header[c], parse_sample(row[c], table.header[c], r));
         continue;
       }
       // First cell of a vector series: gather the contiguous non-empty
@@ -146,7 +155,7 @@ Recorder from_csv(std::string_view text) {
       for (std::size_t j = c; j < table.header.size(); ++j) {
         if (!vector_columns[j] || vector_columns[j]->series != series) break;
         if (j >= row.size() || row[j].empty()) break;
-        sample.push_back(parse_sample(row[j]));
+        sample.push_back(parse_sample(row[j], table.header[j], r));
       }
       recorder.append(series, std::move(sample));
     }

@@ -31,7 +31,10 @@ void write_csv_file(const Recorder& recorder, const std::filesystem::path& path)
 
 /// Parses a table produced by `write_csv` back into a Recorder. Columns
 /// named "name[i]" are reassembled into the vector series "name"; every
-/// other column becomes a scalar series. Empty cells are skipped.
+/// other column becomes a scalar series. Empty cells are skipped. The
+/// recorder keeps every tier-0 sample (tier0_max_pages = 0), so a table of
+/// any length round-trips. Throws std::runtime_error naming the column and
+/// the 1-based data row of a cell that is not a finite number.
 [[nodiscard]] Recorder from_csv(std::string_view text);
 
 /// `from_csv` on a file's contents; throws std::runtime_error when

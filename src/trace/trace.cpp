@@ -23,7 +23,7 @@ double UtilizationTrace::at(std::size_t server, std::size_t k) const {
 
 void UtilizationTrace::set(std::size_t server, std::size_t k, double utilization) {
   if (server >= servers_ || k >= samples_) throw std::out_of_range("UtilizationTrace::set");
-  if (utilization < 0.0 || utilization > 1.0) {
+  if (!(utilization >= 0.0 && utilization <= 1.0)) {  // NaN fails too
     throw std::invalid_argument("UtilizationTrace::set: utilization outside [0,1]");
   }
   data_[server * samples_ + k] = utilization;

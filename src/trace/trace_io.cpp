@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "util/csv.hpp"
+
 namespace vdc::trace {
 
 void write_trace_csv(std::ostream& out, const UtilizationTrace& trace) {
@@ -28,53 +30,38 @@ void write_trace_csv_file(const std::filesystem::path& path, const UtilizationTr
 }
 
 UtilizationTrace read_trace_csv(std::istream& in, double sample_period_s) {
-  std::string line;
-  if (!std::getline(in, line)) throw std::runtime_error("read_trace_csv: empty input");
-  // Count sample columns from the header.
-  std::size_t commas = 0;
-  for (const char c : line) commas += (c == ',');
-  const bool has_label = line.find(",label") != std::string::npos;
-  const std::size_t samples = commas - (has_label ? 1 : 0);
-  if (samples == 0) throw std::runtime_error("read_trace_csv: no sample columns");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const util::CsvTable table = util::parse_csv(text.str());
+  if (table.header.empty()) throw std::runtime_error("read_trace_csv: empty input");
+  const bool has_label = table.header.size() > 1 && table.header[1] == "label";
+  const std::size_t first = has_label ? 2 : 1;  // first sample column
+  if (table.header.size() <= first) throw std::runtime_error("read_trace_csv: no sample columns");
+  const std::size_t samples = table.header.size() - first;
+  if (table.rows.empty()) throw std::runtime_error("read_trace_csv: no data rows");
 
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> labels;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::vector<double> values;
-    values.reserve(samples);
-    std::string label;
-    std::size_t field = 0;
-    std::size_t start = 0;
-    while (start <= line.size()) {
-      std::size_t end = line.find(',', start);
-      if (end == std::string::npos) end = line.size();
-      const std::string_view cell(line.data() + start, end - start);
-      if (field == 1 && has_label) {
-        label = std::string(cell);
-      } else if (field >= (has_label ? 2u : 1u)) {
-        double v = 0.0;
-        const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), v);
-        if (ec != std::errc{} || ptr != cell.data() + cell.size()) {
-          throw std::runtime_error("read_trace_csv: bad cell '" + std::string(cell) + "'");
-        }
-        values.push_back(v);
+  UtilizationTrace trace(table.rows.size(), samples, sample_period_s);
+  trace.labels.reserve(table.rows.size());
+  for (std::size_t s = 0; s < table.rows.size(); ++s) {
+    const std::vector<std::string>& row = table.rows[s];
+    if (row.size() != table.header.size()) {
+      throw std::runtime_error("read_trace_csv: row " + std::to_string(s + 1) + " has " +
+                               std::to_string(row.size()) + " cells, header has " +
+                               std::to_string(table.header.size()));
+    }
+    trace.labels.push_back(has_label ? row[1] : std::string());
+    for (std::size_t k = 0; k < samples; ++k) {
+      const std::string& cell = row[first + k];
+      double u = 0.0;
+      const auto [ptr, ec] = std::from_chars(cell.data(), cell.data() + cell.size(), u);
+      if (ec != std::errc{} || ptr != cell.data() + cell.size() ||
+          !(u >= 0.0 && u <= 1.0)) {
+        throw std::runtime_error("read_trace_csv: row " + std::to_string(s + 1) + " column '" +
+                                 table.header[first + k] + "': bad cell '" + cell +
+                                 "' (utilization must be a number in [0,1])");
       }
-      start = end + 1;
-      ++field;
+      trace.set(s, k, u);
     }
-    if (values.size() != samples) {
-      throw std::runtime_error("read_trace_csv: row width mismatch");
-    }
-    rows.push_back(std::move(values));
-    labels.push_back(std::move(label));
-  }
-  if (rows.empty()) throw std::runtime_error("read_trace_csv: no data rows");
-
-  UtilizationTrace trace(rows.size(), samples, sample_period_s);
-  trace.labels = std::move(labels);
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    for (std::size_t k = 0; k < samples; ++k) trace.set(s, k, rows[s][k]);
   }
   return trace;
 }

@@ -65,10 +65,6 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
-  double lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   /// Bounded Pareto on [lo, hi] with shape alpha — the classic heavy-tailed
   /// service-demand distribution for web requests. alpha must be positive
   /// and finite; alpha <= 0 inverts the CDF's tail and used to be accepted

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/probe.hpp"
@@ -95,30 +96,27 @@ TEST(Recorder, ClearRemovesEverything) {
   EXPECT_FALSE(rec.has("p90"));
 }
 
-// ---- tsdb backend -----------------------------------------------------------
-
-RecorderConfig tsdb_config() {
-  RecorderConfig config;
-  config.backend = RecorderConfig::Backend::kTsdb;
-  return config;
-}
+// ---- tsdb store -------------------------------------------------------------
 
 TEST(RecorderTsdb, ValuesIdenticalToRawBackend) {
-  Recorder raw;
-  Recorder tiered(tsdb_config());
+  // The historical raw-vector store was push_back: values() must hand back
+  // exactly the appended doubles, in order, while retention covers them.
+  Recorder tiered;
+  std::vector<double> appended;
   for (int i = 0; i < 300; ++i) {
     const double v = 1.0 / (1.0 + static_cast<double>(i));  // awkward decimals
-    raw.append("p90", v);
+    appended.push_back(v);
     tiered.append("p90", v);
   }
-  EXPECT_EQ(tiered.values("p90"), raw.values("p90"));
-  EXPECT_EQ(tiered.size("p90"), raw.size("p90"));
-  EXPECT_TRUE(tiered == raw);  // equality is backend-agnostic
-  EXPECT_TRUE(raw == tiered);
+  EXPECT_EQ(tiered.values("p90"), appended);
+  EXPECT_EQ(tiered.size("p90"), appended.size());
+  Recorder copy;
+  for (const double v : appended) copy.append("p90", v);
+  EXPECT_TRUE(tiered == copy);
 }
 
 TEST(RecorderTsdb, AppendAtTimestampsLandInTheStore) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append_at("p90", 4.0, 1.0);
   rec.append_at("p90", 8.0, 2.0);
   EXPECT_EQ(rec.values("p90"), (std::vector<double>{1.0, 2.0}));
@@ -129,15 +127,15 @@ TEST(RecorderTsdb, AppendAtTimestampsLandInTheStore) {
   ASSERT_EQ(samples.size(), 2u);
   EXPECT_EQ(samples[0].time_s, 4.0);
   EXPECT_EQ(samples[1].time_s, 8.0);
-  // Raw backend ignores the timestamp entirely — same visible samples.
-  Recorder raw;
-  raw.append_at("p90", 4.0, 1.0);
-  raw.append_at("p90", 8.0, 2.0);
-  EXPECT_TRUE(raw == rec);
+  // Equality compares samples, not timestamps: synthesized times match.
+  Recorder ordinal;
+  ordinal.append("p90", 1.0);
+  ordinal.append("p90", 2.0);
+  EXPECT_TRUE(ordinal == rec);
 }
 
 TEST(RecorderTsdb, VectorSeriesStayRawRows) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("alloc", std::vector<double>{0.3, 0.4});
   rec.append("alloc", std::vector<double>{0.5, 0.6});
   EXPECT_TRUE(rec.is_vector("alloc"));
@@ -146,7 +144,7 @@ TEST(RecorderTsdb, VectorSeriesStayRawRows) {
 }
 
 TEST(RecorderTsdb, ReferencesStayValidAndRefreshInPlace) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("first", 1.0);
   const std::vector<double>& first = rec.values("first");
   for (int i = 0; i < 64; ++i) rec.append("series" + std::to_string(i), double(i));
@@ -159,7 +157,7 @@ TEST(RecorderTsdb, ReferencesStayValidAndRefreshInPlace) {
 }
 
 TEST(RecorderTsdb, NaNSamplesAreRejectedNotStored) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("p90", 1.0);
   rec.append("p90", std::numeric_limits<double>::quiet_NaN());
   rec.append("p90", 2.0);
@@ -170,7 +168,7 @@ TEST(RecorderTsdb, NaNSamplesAreRejectedNotStored) {
 }
 
 TEST(RecorderTsdb, ClearResetsTheStore) {
-  Recorder rec(tsdb_config());
+  Recorder rec;
   rec.append("p90", 1.0);
   rec.clear();
   EXPECT_TRUE(rec.empty());
@@ -181,7 +179,7 @@ TEST(RecorderTsdb, ClearResetsTheStore) {
 }
 
 TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
-  RecorderConfig config = tsdb_config();
+  RecorderConfig config;
   config.tsdb.page_samples = 4;
   config.tsdb.tier0_max_pages = 2;
   Recorder rec(config);
@@ -203,7 +201,7 @@ TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
 
 TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
   sim::Simulation sim;
-  Recorder rec(tsdb_config());
+  Recorder rec;
   ProbeSet probes;
   probes.add("clock", [&] { return sim.now(); });
   PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
@@ -217,16 +215,15 @@ TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
 }
 
 TEST(RecorderTsdb, CsvExportByteIdenticalToRawBackend) {
-  Recorder raw;
-  Recorder tiered(tsdb_config());
-  for (Recorder* rec : {&raw, &tiered}) {
-    for (int i = 0; i < 100; ++i) {
-      rec->append("p90", 0.9 + 0.01 * static_cast<double>(i % 7));
-      rec->append("alloc", std::vector<double>{0.3, 0.4 + 0.001 * i});
-    }
-    rec->append("power", 123.456789);
+  // The golden holds what the retired raw-vector store exported for these
+  // exact appends (ragged lengths and a vector series included).
+  Recorder tiered;
+  for (int i = 0; i < 100; ++i) {
+    tiered.append("p90", 0.9 + 0.01 * static_cast<double>(i % 7));
+    tiered.append("alloc", std::vector<double>{0.3, 0.4 + 0.001 * i});
   }
-  EXPECT_EQ(to_csv(tiered), to_csv(raw));
+  tiered.append("power", 123.456789);
+  check_golden("recorder_raw_export.csv", to_csv(tiered));
 }
 
 TEST(Probe, SetSamplesEveryGaugeIntoItsSeries) {
@@ -300,6 +297,40 @@ TEST(Export, EmptyRecorderRejectedEmptyTextAccepted) {
   const Recorder rec;
   EXPECT_THROW((void)to_csv(rec), std::invalid_argument);
   EXPECT_TRUE(from_csv("") == rec);
+}
+
+TEST(Export, ImportRejectsNonFiniteCellNamingColumnAndRow) {
+  // The tsdb store drops NaN samples, which would silently shift every
+  // later sample of the column up one row; the import refuses instead.
+  for (const char* cell : {"nan", "inf", "-inf"}) {
+    const std::string text = std::string("p90,alloc[0]\n1.0,0.5\n") + cell + ",0.5\n";
+    try {
+      (void)from_csv(text);
+      ADD_FAILURE() << "accepted '" << cell << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'p90'"), std::string::npos) << what;
+      EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+    }
+  }
+  // Vector columns are checked the same way.
+  EXPECT_THROW((void)from_csv("alloc[0],alloc[1]\n0.5,nan\n"), std::runtime_error);
+}
+
+TEST(Export, ImportKeepsTablesLongerThanDefaultRetention) {
+  // Default tier-0 retention is 64 pages x 256 samples = 16,384 per metric;
+  // an imported table must round-trip whole, however long.
+  const RecorderConfig defaults;
+  const std::size_t rows = defaults.tsdb.page_samples * defaults.tsdb.tier0_max_pages + 1000;
+  std::string text = "p90\n";
+  for (std::size_t k = 0; k < rows; ++k) text += std::to_string(k) + "\n";
+  const Recorder back = from_csv(text);
+  ASSERT_EQ(back.size("p90"), rows);
+  EXPECT_EQ(back.values("p90").front(), 0.0);
+  EXPECT_EQ(back.values("p90").back(), static_cast<double>(rows - 1));
+  const auto id = back.tsdb().find("p90");
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(back.tsdb().samples_evicted(*id), 0u);
 }
 
 }  // namespace

@@ -73,6 +73,34 @@ TEST(Testbed, RejectsNonPositiveOrNonFiniteOptimizerPeriod) {
   }
 }
 
+TEST(Testbed, RejectsNonPositiveOrNonFiniteSetpoint) {
+  // Regression: a NaN setpoint used to be caught only by the control-audit
+  // QP-finiteness invariant, which compiles out under VDC_CHECKS=OFF.
+  for (const double setpoint : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    TestbedConfig config = fast_config();
+    config.setpoint_s = setpoint;
+    expect_rejected(config, "setpoint_s");
+  }
+}
+
+TEST(Testbed, RunTimeSetpointChangeRejectsNonPositiveOrNonFinite) {
+  // Setpoint schedules retarget a running stack; the same values are
+  // refused there, and the SLA in force stays put.
+  Testbed tb{fast_config()};
+  for (const double setpoint : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    try {
+      tb.set_setpoint(0, setpoint);
+      ADD_FAILURE() << "accepted setpoint " << setpoint;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("setpoint_s"), std::string::npos) << e.what();
+    }
+  }
+  tb.run_until(400.0);
+  EXPECT_NEAR(tb.response_stats_after(0, 200.0).mean(), fast_config().setpoint_s, 0.3);
+}
+
 TEST(Testbed, IdentifiedModelIsPlausible) {
   const Testbed tb{fast_config()};
   EXPECT_GT(tb.model_r_squared(), 0.4);

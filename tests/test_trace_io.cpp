@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/synthetic.hpp"
 
@@ -57,6 +60,34 @@ TEST(TraceIo, RejectsMalformedInput) {
   EXPECT_THROW(read_trace_csv(bad_cell), std::runtime_error);
   std::istringstream header_only("server,label,u0\n");
   EXPECT_THROW(read_trace_csv(header_only), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsNanUtilization) {
+  // Regression: `u < 0 || u > 1` is false for NaN, so a `nan` cell used to
+  // load as a utilization.
+  for (const char* cell : {"nan", "-nan", "inf", "1.5", "-0.1"}) {
+    std::istringstream in(std::string("server,label,u0,u1\n0,web,0.1,") + cell + "\n");
+    try {
+      (void)read_trace_csv(in);
+      ADD_FAILURE() << "accepted '" << cell << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'u1'"), std::string::npos) << e.what();
+    }
+  }
+  UtilizationTrace t(1, 1);
+  EXPECT_THROW(t.set(0, 0, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+}
+
+TEST(TraceIo, ReadsCrlfFiles) {
+  // Regression: the hidden '\r' used to fail the last cell of every row
+  // with a misleading "bad cell '0.5'".
+  std::istringstream in("server,label,u0,u1\r\n0,web,0.25,0.5\r\n1,db,0.75,1\r\n");
+  const UtilizationTrace t = read_trace_csv(in);
+  ASSERT_EQ(t.server_count(), 2u);
+  ASSERT_EQ(t.sample_count(), 2u);
+  EXPECT_EQ(t.labels[1], "db");
+  EXPECT_EQ(t.at(0, 1), 0.5);
+  EXPECT_EQ(t.at(1, 1), 1.0);
 }
 
 TEST(TraceIo, FileRoundTrip) {
