@@ -98,9 +98,14 @@ class MessageStream {
 
 #else  // VDC_CHECKS_ENABLED == 0: parse but never evaluate.
 
-#define VDC_CHECK_NOOP_(cond) static_cast<void>(sizeof((cond) ? 1 : 0))
-#define VDC_ASSERT(cond, ...) VDC_CHECK_NOOP_(cond)
-#define VDC_INVARIANT(cond, ...) VDC_CHECK_NOOP_(cond)
+// Both the condition and the message sit in sizeof operands: they are
+// type-checked and their names count as used, but no code is generated.
+#define VDC_CHECK_NOOP_(cond, ...)                                                    \
+  static_cast<void>(sizeof((cond) ? 1 : 0)                                            \
+                    + sizeof(::vdc::check::detail::MessageStream{}                    \
+                                 __VA_OPT__(<< __VA_ARGS__)))
+#define VDC_ASSERT(cond, ...) VDC_CHECK_NOOP_(cond, __VA_ARGS__)
+#define VDC_INVARIANT(cond, ...) VDC_CHECK_NOOP_(cond, __VA_ARGS__)
 #if defined(__GNUC__) || defined(__clang__)
 #define VDC_UNREACHABLE(...) __builtin_unreachable()
 #else

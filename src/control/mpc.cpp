@@ -15,21 +15,42 @@ void MpcConfig::validate(std::size_t nu) const {
   if (control_horizon == 0 || control_horizon > prediction_horizon) {
     throw std::invalid_argument("MpcConfig: need 0 < M <= P");
   }
-  if (!(q_weight > 0.0)) throw std::invalid_argument("MpcConfig: Q must be positive");
+  // Fields that reach the QP must be finite: a NaN here would otherwise
+  // surface only in the checks-on QP audit, or silently switch a feature off.
+  if (!(q_weight > 0.0) || !std::isfinite(q_weight)) {
+    throw std::invalid_argument("MpcConfig: q_weight must be positive and finite");
+  }
   if (r_weight.size() != nu) throw std::invalid_argument("MpcConfig: R width mismatch");
   for (const double r : r_weight) {
-    if (!(r > 0.0)) throw std::invalid_argument("MpcConfig: R entries must be positive");
+    if (!(r > 0.0) || !std::isfinite(r)) {
+      throw std::invalid_argument("MpcConfig: r_weight entries must be positive and finite");
+    }
   }
   if (c_min.size() != nu || c_max.size() != nu) {
     throw std::invalid_argument("MpcConfig: bound width mismatch");
   }
   for (std::size_t m = 0; m < nu; ++m) {
+    if (!std::isfinite(c_min[m])) throw std::invalid_argument("MpcConfig: c_min must be finite");
+    if (!std::isfinite(c_max[m])) throw std::invalid_argument("MpcConfig: c_max must be finite");
     if (!(c_min[m] >= 0.0) || !(c_max[m] > c_min[m])) {
       throw std::invalid_argument("MpcConfig: need 0 <= c_min < c_max");
     }
   }
+  if (!std::isfinite(setpoint)) throw std::invalid_argument("MpcConfig: setpoint must be finite");
   if (!(period_s > 0.0) || !(tref_s > 0.0)) {
     throw std::invalid_argument("MpcConfig: period and Tref must be positive");
+  }
+  if (!std::isfinite(delta_max)) {
+    throw std::invalid_argument("MpcConfig: delta_max must be finite (<= 0 disables the limit)");
+  }
+  if (!std::isfinite(delta_down_max)) {
+    throw std::invalid_argument("MpcConfig: delta_down_max must be finite");
+  }
+  if (!(terminal_weight >= 0.0) || !std::isfinite(terminal_weight)) {
+    throw std::invalid_argument("MpcConfig: terminal_weight must be finite and >= 0");
+  }
+  if (!(disturbance_gain >= 0.0 && disturbance_gain <= 1.0)) {
+    throw std::invalid_argument("MpcConfig: disturbance_gain must be in [0, 1]");
   }
   if (delta_down_max > 0.0 && !(delta_max > 0.0)) {
     throw std::invalid_argument("MpcConfig: delta_down_max needs delta_max > 0");
@@ -220,39 +241,33 @@ std::vector<double> MpcController::step(double measured_output) {
   // Inequalities: actuator range on the cumulative allocation and the
   // per-move rate limit.
   const std::vector<double>& c_prev = c_hist_.front();
-  std::vector<std::vector<double>> rows;
+  const bool rate_limited = config_.delta_max > 0.0;
+  linalg::Matrix m_ineq(2 * nx + (rate_limited ? 2 * nx : 0), nx);
   std::vector<double> gamma;
+  gamma.reserve(m_ineq.rows());
+  std::size_t row = 0;
   for (std::size_t j = 0; j < m_horizon; ++j) {
     for (std::size_t m = 0; m < nu; ++m) {
       // sum_{l<=j} dc_m(l) <= c_max[m] - c_prev[m]
-      std::vector<double> row(nx, 0.0);
-      for (std::size_t l = 0; l <= j; ++l) row[l * nu + m] = 1.0;
-      rows.push_back(row);
+      for (std::size_t l = 0; l <= j; ++l) m_ineq(row, l * nu + m) = 1.0;
+      // -sum <= c_prev[m] - c_min[m] (negated entry by entry, so its zeros are -0.0)
+      for (std::size_t c = 0; c < nx; ++c) m_ineq(row + 1, c) = -m_ineq(row, c);
       gamma.push_back(config_.c_max[m] - c_prev[m]);
-      // -sum <= c_prev[m] - c_min[m]
-      for (double& v : row) v = -v;
-      rows.push_back(std::move(row));
       gamma.push_back(c_prev[m] - config_.c_min[m]);
+      row += 2;
     }
   }
-  if (config_.delta_max > 0.0) {
+  if (rate_limited) {
     // Asymmetric release limit when configured: dc >= -delta_down_max.
     const double delta_down = config_.delta_down_max > 0.0 ? config_.delta_down_max
                                                            : config_.delta_max;
     for (std::size_t idx = 0; idx < nx; ++idx) {
-      std::vector<double> row(nx, 0.0);
-      row[idx] = 1.0;
-      rows.push_back(row);
+      m_ineq(row, idx) = 1.0;
+      m_ineq(row + 1, idx) = -1.0;
       gamma.push_back(config_.delta_max);
-      row.assign(nx, 0.0);
-      row[idx] = -1.0;
-      rows.push_back(std::move(row));
       gamma.push_back(delta_down);
+      row += 2;
     }
-  }
-  linalg::Matrix m_ineq(rows.size(), nx);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t c = 0; c < nx; ++c) m_ineq(r, c) = rows[r][c];
   }
 
   linalg::QpResult qp;

@@ -12,7 +12,8 @@ CholeskyDecomposition::CholeskyDecomposition(const Matrix& a) : l_(a.rows(), a.c
   for (std::size_t j = 0; j < n; ++j) {
     double d = a(j, j);
     for (std::size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
-    if (d <= tol) throw std::runtime_error("Cholesky: matrix is not positive definite");
+    // Written as !(d > tol) so a NaN pivot is rejected too.
+    if (!(d > tol)) throw std::runtime_error("Cholesky: matrix is not positive definite");
     l_(j, j) = std::sqrt(d);
     for (std::size_t i = j + 1; i < n; ++i) {
       double s = a(i, j);

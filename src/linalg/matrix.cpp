@@ -38,15 +38,7 @@ Matrix Matrix::column(std::span<const double> v) {
   return m;
 }
 
-double& Matrix::operator()(std::size_t r, std::size_t c) {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::operator()(std::size_t r, std::size_t c) const {
-  if (r >= rows_ || c >= cols_) throw std::out_of_range("Matrix: index out of range");
-  return data_[r * cols_ + c];
-}
+void Matrix::throw_out_of_range() { throw std::out_of_range("Matrix: index out of range"); }
 
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);

@@ -32,8 +32,16 @@ class Matrix {
   [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
   [[nodiscard]] bool square() const noexcept { return rows_ == cols_; }
 
-  [[nodiscard]] double& operator()(std::size_t r, std::size_t c);
-  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const;
+  // Bounds-checked element access. Inline because the QP solver's inner
+  // loops read through it; the throw lives out of line.
+  [[nodiscard]] double& operator()(std::size_t r, std::size_t c) {
+    if (r >= rows_ || c >= cols_) [[unlikely]] throw_out_of_range();
+    return data_[r * cols_ + c];
+  }
+  [[nodiscard]] double operator()(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]] throw_out_of_range();
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] std::span<const double> data() const noexcept { return data_; }
   [[nodiscard]] std::span<double> data() noexcept { return data_; }
@@ -65,6 +73,8 @@ class Matrix {
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
  private:
+  [[noreturn]] static void throw_out_of_range();
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

@@ -53,6 +53,9 @@ QpResult solve_inequality_qp(const Matrix& h, std::span<const double> g, const M
   if (!h.square() || g.size() != n) throw std::invalid_argument("inequality_qp: bad dims");
   if (q > 0 && m.cols() != n) throw std::invalid_argument("inequality_qp: M width mismatch");
   if (gamma.size() != q) throw std::invalid_argument("inequality_qp: gamma length mismatch");
+  for (const double v : m.data()) {
+    if (!std::isfinite(v)) throw std::invalid_argument("inequality_qp: M must be finite");
+  }
 
   const CholeskyDecomposition chol(h);
   const Vector x0 = chol.solve(scale(g, -1.0));  // unconstrained minimizer
@@ -98,21 +101,44 @@ QpResult solve_inequality_qp(const Matrix& h, std::span<const double> g, const M
   Vector k(q);
   for (std::size_t i = 0; i < q; ++i) k[i] = gamma[i] - mx0[i];
 
+  // The sweep sums P(i,j) lambda[j] over the non-zero multipliers only,
+  // kept in `active` in ascending index order. The result is bit-identical
+  // to the dense sum over every j: P is finite (M is, and H passed
+  // Cholesky), so a zero multiplier adds an exact signed zero, which can
+  // only flip the sign of a zero s, and max(0, -s/pii) maps both signs to
+  // +0. Ascending order keeps the non-zero terms in the dense addition
+  // order. tests/test_qp_differential.cpp holds the dense oracle.
   Vector lambda(q, 0.0);
+  std::vector<std::size_t> active;
+  active.reserve(q);
+  const std::span<const double> p_data = p.data();
   std::size_t iter = 0;
   bool converged = false;
   for (; iter < max_iterations; ++iter) {
     double max_change = 0.0;
     for (std::size_t i = 0; i < q; ++i) {
-      const double pii = p(i, i);
+      const double* p_row = p_data.data() + i * q;
+      const double pii = p_row[i];
       if (pii <= 1e-14) continue;  // degenerate row: constraint parallel to others
       double s = k[i];
-      for (std::size_t j = 0; j < q; ++j) {
-        if (j != i) s += p(i, j) * lambda[j];
+      for (const std::size_t j : active) {
+        if (j != i) s += p_row[j] * lambda[j];
       }
       const double updated = std::max(0.0, -s / pii);
       max_change = std::max(max_change, std::abs(updated - lambda[i]));
+      // vdc-lint: float-eq-ok bitwise zero test: max(0, .) yields exactly +0.0 for an inactive multiplier
+      const bool was_active = lambda[i] != 0.0;
+      // vdc-lint: float-eq-ok bitwise zero test: max(0, .) yields exactly +0.0 for an inactive multiplier
+      const bool is_active = updated != 0.0;
       lambda[i] = updated;
+      if (was_active != is_active) {
+        const auto pos = std::lower_bound(active.begin(), active.end(), i);
+        if (is_active) {
+          active.insert(pos, i);
+        } else {
+          active.erase(pos);
+        }
+      }
     }
     if (max_change < tolerance) {
       converged = true;

@@ -32,7 +32,8 @@ struct QpResult {
                                          const Matrix& a, std::span<const double> b);
 
 /// Hildreth's procedure for  min 1/2 x'Hx + g'x  s.t.  M x <= gamma.
-/// H must be positive definite. Converges monotonically for convex QPs;
+/// H must be positive definite and M finite (std::invalid_argument
+/// otherwise). Converges monotonically for convex QPs;
 /// `converged` is false when the iteration cap was reached (the returned
 /// point is still primal-feasible up to the active-constraint residual).
 [[nodiscard]] QpResult solve_inequality_qp(const Matrix& h, std::span<const double> g,

@@ -29,6 +29,17 @@ TEST(CheckDisabled, ConditionIsNeverEvaluated) {
   EXPECT_EQ(evaluations, 0);
 }
 
+// Named only in a check's message: the no-op macros must still count it
+// as used, or checks-off builds fail -Wunused-parameter under -Werror.
+int message_only_parameter(int detail) {
+  VDC_INVARIANT(true, "detail " << detail);
+  return 0;
+}
+
+TEST(CheckDisabled, ParameterNamedOnlyInMessageCountsAsUsed) {
+  EXPECT_EQ(message_only_parameter(7), 0);
+}
+
 // Behavioral parity for the hot-path auditors: every header-only audit
 // function must degrade to a silent no-op in a checks-off build, even when
 // fed inputs that would fire the invariant with checks on (the mirror-image

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/rng.hpp"
 
@@ -38,6 +39,15 @@ TEST(Cholesky, SolveMatchesKnownSolution) {
 TEST(Cholesky, RejectsIndefinite) {
   const Matrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3 and -1
   EXPECT_THROW(CholeskyDecomposition{a}, std::runtime_error);
+}
+
+TEST(Cholesky, RejectsNanPivot) {
+  // `d <= tol` is false for NaN, so a NaN pivot used to be factored into a
+  // NaN L instead of being rejected.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CholeskyDecomposition(Matrix{{nan, 0.0}, {0.0, 1.0}}), std::runtime_error);
+  EXPECT_THROW(CholeskyDecomposition(Matrix{{1.0, nan}, {nan, 1.0}}), std::runtime_error);
+  EXPECT_FALSE(is_spd(Matrix{{nan, 0.0}, {0.0, 1.0}}));
 }
 
 TEST(Cholesky, RejectsNonSquare) {

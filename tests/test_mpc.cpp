@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 namespace vdc::control {
 namespace {
@@ -90,6 +92,94 @@ TEST(MpcConfig, ValidationAndBroadcast) {
   c.c_min = {2.0};
   c.c_max = {1.0};
   EXPECT_THROW(c.validate(1), std::invalid_argument);
+}
+
+/// validate() must throw std::invalid_argument whose message names `field`.
+void expect_rejected_naming(const MpcConfig& c, const std::string& field) {
+  try {
+    c.validate(1);
+    ADD_FAILURE() << "accepted an invalid " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(MpcConfig, RejectsNonFiniteTerminalWeight) {
+  // A NaN weight used to reach the QP and was caught only by the
+  // checks-on solution audit.
+  for (const double w : {kNan, kInf, -1.0}) {
+    MpcConfig c = base_config();
+    c.terminal_weight = w;
+    expect_rejected_naming(c, "terminal_weight");
+  }
+  MpcConfig c = base_config();
+  c.terminal_weight = kNan;
+  EXPECT_THROW(MpcController(siso_model(), c), std::invalid_argument);
+}
+
+TEST(MpcConfig, RejectsNonFiniteDisturbanceGain) {
+  // A NaN gain used to fail the `> 0` test and silently turn the DMC
+  // correction off.
+  for (const double gain : {kNan, kInf, -0.5, 1.5}) {
+    MpcConfig c = base_config();
+    c.disturbance_gain = gain;
+    expect_rejected_naming(c, "disturbance_gain");
+  }
+}
+
+TEST(MpcConfig, RejectsNonFiniteDeltaMax) {
+  // A NaN limit used to fail the `> 0` test and silently drop the rate rows.
+  for (const double d : {kNan, kInf}) {
+    MpcConfig c = base_config();
+    c.delta_max = d;
+    expect_rejected_naming(c, "delta_max");
+  }
+  MpcConfig off = base_config();
+  off.delta_max = 0.0;  // <= 0 still disables the limit
+  EXPECT_NO_THROW(off.validate(1));
+}
+
+TEST(MpcConfig, RejectsNonFiniteDeltaDownMax) {
+  MpcConfig c = base_config();
+  c.delta_down_max = kNan;
+  expect_rejected_naming(c, "delta_down_max");
+}
+
+TEST(MpcConfig, RejectsNonFiniteSetpoint) {
+  for (const double sp : {kNan, kInf, -kInf}) {
+    MpcConfig c = base_config();
+    c.setpoint = sp;
+    expect_rejected_naming(c, "setpoint");
+  }
+}
+
+TEST(MpcConfig, RejectsNonFiniteCMin) {
+  for (const double lo : {kNan, -kInf}) {
+    MpcConfig c = base_config();
+    c.c_min = {lo};
+    expect_rejected_naming(c, "c_min");
+  }
+}
+
+TEST(MpcConfig, RejectsNonFiniteCMax) {
+  // An infinite c_max passed the c_min < c_max test.
+  for (const double hi : {kNan, kInf}) {
+    MpcConfig c = base_config();
+    c.c_max = {hi};
+    expect_rejected_naming(c, "c_max");
+  }
+}
+
+TEST(MpcConfig, RejectsNonFiniteWeights) {
+  MpcConfig c = base_config();
+  c.q_weight = kInf;
+  expect_rejected_naming(c, "q_weight");
+  c = base_config();
+  c.r_weight = {kInf};
+  expect_rejected_naming(c, "r_weight");
 }
 
 TEST(Mpc, StepResponseMatchesHandComputation) {

@@ -84,6 +84,19 @@ TEST(InequalityQp, RedundantRowsHarmless) {
   EXPECT_NEAR(r.x[1], 0.2, 1e-6);
 }
 
+TEST(InequalityQp, RejectsNonFiniteConstraintMatrix) {
+  // The sweep skips zero multipliers, which is exact only for a finite M:
+  // a NaN or infinite P(i,j) times a zero multiplier is NaN, not zero.
+  const Matrix h = Matrix::identity(2);
+  const std::vector<double> g = {-4.0, -4.0};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf}) {
+    Matrix m = Matrix::identity(2);
+    m(1, 0) = bad;
+    EXPECT_THROW((void)solve_inequality_qp(h, g, m, std::vector<double>{1.0, 1.0}),
+                 std::invalid_argument);
+  }
+}
+
 TEST(GeneralQp, EqualityPlusActiveInequality) {
   // min 1/2||x||^2 s.t. x1+x2 = 0.8, x1 <= 0.1 -> (0.1, 0.7).
   const Matrix h = Matrix::identity(2);

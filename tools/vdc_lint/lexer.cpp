@@ -149,7 +149,11 @@ class Lexer {
       while (pos_ < src_.size() && src_[pos_] != '(') advance();
       delim = src_.substr(dstart, pos_ - dstart);
       advance();  // '('
-      const std::string closer = ")" + std::string(delim) + "\"";
+      // reserve + append rather than operator+ chains: GCC 12 reports a
+      // false -Wrestrict on the latter at -O2.
+      std::string closer;
+      closer.reserve(delim.size() + 2);
+      closer.append(")").append(delim).append("\"");
       while (pos_ < src_.size()) {
         if (src_.compare(pos_, closer.size(), closer) == 0) {
           for (std::size_t i = 0; i < closer.size(); ++i) advance();
