@@ -38,21 +38,22 @@ int main() {
               "app0 sensor stale [700,800)\n\n");
   testbed.run_until(1200.0);
 
-  const auto& power = testbed.power_series();
-  const auto& active = testbed.recorder().values(core::kActiveServersSeries);
-  const auto& migrated = testbed.recorder().values(core::kMigrationsCompletedSeries);
-  const auto& failed = testbed.recorder().values(core::kFailedMigrationsSeries);
+  const telemetry::Recorder recorder = testbed.take_recorder();
+  const auto& power = recorder.values(core::kPowerSeries);
+  const auto& active = recorder.values(core::kActiveServersSeries);
+  const auto& migrated = recorder.values(core::kMigrationsCompletedSeries);
+  const auto& failed = recorder.values(core::kFailedMigrationsSeries);
   std::printf("%-10s %12s %12s %12s %12s\n", "time(s)", "power (W)", "active srv",
               "migrations", "failed migr");
   for (double t = 100.0; t <= 1200.0; t += 100.0) {
-    // One probe sample per 4 s control period; the tick at `t` is index t/4-1.
+    // One gauge sample per 4 s control period; the tick at `t` is index t/4-1.
     const auto k = static_cast<std::size_t>(t / config.control_period_s) - 1;
     std::printf("%-10.0f %12.1f %12.0f %12.0f %12.0f\n", t,
                 power[std::min(k, power.size() - 1)], active[k], migrated[k], failed[k]);
   }
 
   std::printf("\n# fault annotations (the recovery story, verbatim):\n");
-  for (const telemetry::Annotation& a : testbed.recorder().annotations()) {
+  for (const telemetry::Annotation& a : recorder.annotations()) {
     std::printf("#   @%6.0f s  %s\n", a.time_s, a.label.c_str());
   }
 
@@ -67,7 +68,8 @@ int main() {
   std::printf("\n# response times after the last fault window clears (t > 900 s):\n");
   bool all_tracked = true;
   for (std::size_t i = 0; i < testbed.app_count(); ++i) {
-    const util::RunningStats s = testbed.response_stats_after(i, 900.0);
+    const util::RunningStats s = core::stats_after(
+        recorder.values(core::response_series_name(i)), 900.0, config.control_period_s);
     std::printf("#   app%zu: mean p90 = %4.0f ms (std %3.0f)\n", i + 1,
                 s.mean() * 1000.0, s.stddev() * 1000.0);
     all_tracked = all_tracked && std::abs(s.mean() - 1.0) < 0.3;

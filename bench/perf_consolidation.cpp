@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "consolidate/ipac.hpp"
-#include "consolidate/naive.hpp"
+#include "oracles/consolidate/naive.hpp"
 #include "util/rng.hpp"
 
 namespace {

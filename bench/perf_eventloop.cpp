@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/naive.hpp"
+#include "oracles/sim/naive.hpp"
 #include "sim/ps_queue.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"

@@ -12,8 +12,8 @@
 // invocation; response times stay at the set point apart from sub-second
 // migration blips.
 //
-// The timeline table is reconstructed post-run from the telemetry probes
-// (active servers, completed migrations) sampled every control period.
+// The timeline table is reconstructed post-run from the cluster gauges
+// (active servers, completed migrations) recorded every control period.
 #include <cstdio>
 
 #include "core/testbed.hpp"
@@ -32,13 +32,14 @@ int main() {
   std::printf("# model R^2 = %.2f\n\n", testbed.model_r_squared());
   testbed.run_until(1200.0);
 
-  const auto& power = testbed.power_series();
-  const auto& active = testbed.recorder().values(core::kActiveServersSeries);
-  const auto& migrated = testbed.recorder().values(core::kMigrationsCompletedSeries);
+  const telemetry::Recorder recorder = testbed.take_recorder();
+  const auto& power = recorder.values(core::kPowerSeries);
+  const auto& active = recorder.values(core::kActiveServersSeries);
+  const auto& migrated = recorder.values(core::kMigrationsCompletedSeries);
   std::printf("%-10s %12s %14s %14s\n", "time(s)", "power (W)", "active srv",
               "migrations");
   for (double t = 100.0; t <= 1200.0; t += 100.0) {
-    // One probe sample per 4 s control period; the tick at `t` is index t/4-1.
+    // One gauge sample per 4 s control period; the tick at `t` is index t/4-1.
     const auto k = static_cast<std::size_t>(t / config.control_period_s) - 1;
     std::printf("%-10.0f %12.1f %14.0f %14.0f\n", t, power[std::min(k, power.size() - 1)],
                 active[k], migrated[k]);
@@ -56,7 +57,8 @@ int main() {
   std::printf("\n# response times with the optimizer active (after 400 s settling):\n");
   bool all_tracked = true;
   for (std::size_t i = 0; i < testbed.app_count(); ++i) {
-    const util::RunningStats s = testbed.response_stats_after(i, 400.0);
+    const util::RunningStats s = core::stats_after(
+        recorder.values(core::response_series_name(i)), 400.0, config.control_period_s);
     std::printf("#   app%zu: mean p90 = %4.0f ms (std %3.0f)\n", i + 1,
                 s.mean() * 1000.0, s.stddev() * 1000.0);
     all_tracked = all_tracked && std::abs(s.mean() - 1.0) < 0.25;

@@ -31,7 +31,7 @@ VmId smallest_vm(const WorkingPlacement& placement, ServerId server) {
 }  // namespace
 
 // The fast engine. Three changes against the retained reference
-// (naive::ipac), all plan-preserving:
+// (naive::ipac in tests/oracles/consolidate/naive.hpp), all plan-preserving:
 //  * the fleet power estimate is WorkingPlacement's O(1) incremental sum
 //    instead of a full server scan per consolidation round;
 //  * PAC's target walk runs over a SlackIndex built once over the

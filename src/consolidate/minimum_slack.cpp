@@ -11,9 +11,10 @@ namespace vdc::consolidate {
 namespace {
 
 // The fast engine for Algorithm 1. Five changes against the retained
-// reference (naive::minimum_slack), all of them *plan-exact*: the engine
-// returns the same selection as the reference for every input, including
-// when the step budget binds and epsilon escalates mid-search.
+// reference (naive::minimum_slack in tests/oracles/consolidate/naive.hpp),
+// all of them *plan-exact*: the engine returns the same selection as the
+// reference for every input, including when the step budget binds and
+// epsilon escalates mid-search.
 //
 //  * Branch-and-bound pruning: candidates are sorted by descending demand,
 //    so a suffix sum bounds the demand any subtree can still pack. When

@@ -54,7 +54,8 @@ struct BudgetedMinSlackResult {
 /// total cost stays within `budget_j` are explored. Cost-infeasible
 /// candidates are pruned exactly like capacity-infeasible ones, so with an
 /// infinite budget (or all-zero costs) the selection is identical to
-/// minimum_slack's. Reference mirror: naive::minimum_slack_budgeted.
+/// minimum_slack's. Reference mirror: naive::minimum_slack_budgeted in
+/// tests/oracles/consolidate/naive.hpp.
 [[nodiscard]] BudgetedMinSlackResult minimum_slack_budgeted(
     const WorkingPlacement& placement, ServerId server, std::span<const VmId> candidates,
     std::span<const double> candidate_cost_j, double budget_j, const ConstraintSet& constraints,

@@ -62,7 +62,8 @@ struct MigrationCostContext {
 /// Budgeted, rack-aware PAC: the per-server Minimum Slack runs are the
 /// budgeted variant, each seeing the energy left after earlier selections,
 /// so a plan never spends past the budget. Reference mirror:
-/// naive::power_aware_consolidation_budgeted.
+/// naive::power_aware_consolidation_budgeted in
+/// tests/oracles/consolidate/naive.hpp.
 PacResult power_aware_consolidation_budgeted(WorkingPlacement& placement,
                                              std::span<const VmId> vms,
                                              const ConstraintSet& constraints,

@@ -12,7 +12,8 @@ namespace {
 
 /// Neumaier-compensated accumulation: keeps the running fleet power exact
 /// to the last bit across millions of add/remove deltas, so the O(1)
-/// estimate tracks the naive full scan instead of drifting.
+/// estimate tracks the reference full scan (naive::estimated_power_w in
+/// tests/oracles/consolidate/naive.hpp) instead of drifting.
 void compensated_add(double& total, double& compensation, double delta) {
   const double t = total + delta;
   if (std::abs(total) >= std::abs(delta)) {

@@ -82,8 +82,8 @@ class WorkingPlacement {
   /// infrastructure draw (an evacuated rack switches it off). Maintained
   /// incrementally (Neumaier-compensated running sum of per-server
   /// contributions plus 0 <-> 1 rack/pod occupancy transitions), so each
-  /// query is O(1); the reference full scan lives in
-  /// naive::estimated_power_w. Flat snapshots never touch the rack terms,
+  /// query is O(1); the reference full scan is naive::estimated_power_w in
+  /// tests/oracles/consolidate/naive.hpp. Flat snapshots never touch the rack terms,
   /// so flat results are bit-identical to the pre-topology estimate.
   [[nodiscard]] double estimated_power_w() const noexcept {
     return power_total_w_ + power_compensation_w_;

@@ -156,29 +156,7 @@ Testbed::Testbed(TestbedConfig config)
   last_work_done_.assign(cluster_.vm_count(), 0.0);
   recorder_.declare_scalar(kPowerSeries);
 
-  // Cluster-level gauges sampled at the end of every control tick.
-  probes_.add(kFrequencySeries, [this] {
-    double sum = 0.0;
-    for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
-      sum += cluster_.server(s).frequency_ghz();
-    }
-    return sum / static_cast<double>(cluster_.server_count());
-  });
-  probes_.add(kActiveServersSeries,
-              [this] { return static_cast<double>(cluster_.active_server_count()); });
-  probes_.add(kMigrationsInFlightSeries,
-              [this] { return static_cast<double>(migrations_in_flight_); });
-  probes_.add(kMigrationsCompletedSeries,
-              [this] { return static_cast<double>(completed_migrations_); });
-  if (replication_active_) {
-    probes_.add(kLiveVmsSeries,
-                [this] { return static_cast<double>(cluster_.live_vm_count()); });
-  }
-
-  // Chaos wiring: sensor faults route through the app stacks, and the
-  // fault gauges exist only when a plan is loaded — a healthy run's
-  // telemetry (series names included) is byte-identical to a build that
-  // has never heard of fault injection.
+  // Chaos wiring: sensor faults route through the app stacks.
   if (injector_.enabled()) {
     // Per-app sensor streams, derived via splitmix64, so drop/spike draws
     // from concurrently advancing shards are race-free and the fault
@@ -187,10 +165,30 @@ Testbed::Testbed(TestbedConfig config)
     for (std::size_t i = 0; i < stacks_.size(); ++i) {
       stacks_[i]->set_fault_injector(&injector_, static_cast<std::uint32_t>(i));
     }
-    probes_.add(kFaultsInjectedSeries,
-                [this] { return static_cast<double>(injector_.counters().total()); });
-    probes_.add(kFailedMigrationsSeries,
-                [this] { return static_cast<double>(failed_migrations_); });
+  }
+}
+
+void Testbed::record_cluster_gauges(double now) {
+  double freq_sum = 0.0;
+  for (datacenter::ServerId s = 0; s < cluster_.server_count(); ++s) {
+    freq_sum += cluster_.server(s).frequency_ghz();
+  }
+  recorder_.append_at(kFrequencySeries, now,
+                      freq_sum / static_cast<double>(cluster_.server_count()));
+  recorder_.append_at(kActiveServersSeries, now,
+                      static_cast<double>(cluster_.active_server_count()));
+  recorder_.append_at(kMigrationsInFlightSeries, now, static_cast<double>(migrations_in_flight_));
+  recorder_.append_at(kMigrationsCompletedSeries, now, static_cast<double>(completed_migrations_));
+  if (replication_active_) {
+    recorder_.append_at(kLiveVmsSeries, now, static_cast<double>(cluster_.live_vm_count()));
+  }
+  // The fault gauges exist only when a plan is loaded: a healthy run's
+  // telemetry (series names included) is byte-identical to a build that
+  // has never heard of fault injection.
+  if (injector_.enabled()) {
+    recorder_.append_at(kFaultsInjectedSeries, now,
+                        static_cast<double>(injector_.counters().total()));
+    recorder_.append_at(kFailedMigrationsSeries, now, static_cast<double>(failed_migrations_));
   }
 }
 
@@ -325,28 +323,12 @@ void Testbed::set_concurrency(std::size_t app, std::size_t concurrency) {
   stacks_.at(app)->set_concurrency(concurrency);
 }
 
-const std::vector<double>& Testbed::response_series(std::size_t app) const {
-  return recorder_for_app(app).values(response_series_name(app));
-}
-
-const std::vector<double>& Testbed::power_series() const {
-  return recorder_.values(kPowerSeries);
-}
-
-const std::vector<std::vector<double>>& Testbed::allocation_series(std::size_t app) const {
-  return recorder_for_app(app).rows(allocation_series_name(app));
-}
-
 util::RunningStats stats_after(const std::vector<double>& series, double from_s,
                                double period_s) {
   util::RunningStats stats;
   const auto first = static_cast<std::size_t>(from_s / period_s);
   for (std::size_t k = first; k < series.size(); ++k) stats.add(series[k]);
   return stats;
-}
-
-util::RunningStats Testbed::response_stats_after(std::size_t app, double from_s) const {
-  return stats_after(response_series(app), from_s, config_.control_period_s);
 }
 
 void Testbed::run_until(double until_s) {
@@ -637,7 +619,7 @@ void Testbed::control_tick() {
     }
   }
 
-  probes_.sample(recorder_, now);
+  record_cluster_gauges(now);
   sim_.schedule(now + config_.control_period_s, [this] { control_tick(); });
 }
 

@@ -8,8 +8,8 @@
 // `sim::ShardedEngine` that advances them (applications block-partitioned
 // over shard loops, control plane on the serial spine), telemetry recorders
 // (one per shard for the per-app series, one for the control plane), and
-// the optimizer tick for the two-level mode. The series accessors delegate
-// into those recorders.
+// the optimizer tick for the two-level mode. `take_recorder()` merges those
+// recorders into the one view every caller reads.
 #pragma once
 
 #include <functional>
@@ -25,7 +25,6 @@
 #include "fault/injector.hpp"
 #include "sim/sharded_engine.hpp"
 #include "sim/simulation.hpp"
-#include "telemetry/probe.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/statistics.hpp"
 
@@ -154,8 +153,9 @@ inline constexpr const char* kFaultsInjectedSeries = "fault/injected_total";
 inline constexpr const char* kFailedMigrationsSeries = "fault/failed_migrations";
 
 /// Statistics over the samples of a once-per-period series recorded after
-/// `from_s` (skip settling). Testbed and ScenarioResult both read their
-/// response series through this.
+/// `from_s` (skip settling), e.g. a response series read from
+/// `Testbed::take_recorder()`. ScenarioResult reads its series through this
+/// too.
 [[nodiscard]] util::RunningStats stats_after(const std::vector<double>& series, double from_s,
                                              double period_s);
 
@@ -186,25 +186,14 @@ class Testbed {
   [[nodiscard]] double model_r_squared() const noexcept { return model_r2_; }
 
   // ---- recorded series (one sample per control period) -------------------
-  /// The control-plane recorder: ONLY the cluster-level series
-  /// (`cluster/*`, `fault/*`) and annotations. The per-app series
-  /// (`app<i>/p90`, `app<i>/alloc`, `app<i>/replicas`) live in per-shard
-  /// recorders — read them through the series accessors below, or through
-  /// `take_recorder()`'s merged view.
-  [[nodiscard]] telemetry::Recorder& recorder() noexcept { return recorder_; }
-  [[nodiscard]] const telemetry::Recorder& recorder() const noexcept { return recorder_; }
-  /// Moves every recorded series out into one recorder, with the per-shard
-  /// recorders merged ahead of the control-plane one in canonical (app,
-  /// then cluster) order — the same series layout at every shard count.
-  /// The testbed's own series accessors are dead afterwards; call once
-  /// when the run is over.
+  /// Moves every recorded series out into one recorder: the per-app series
+  /// (`response_series_name(i)`, `allocation_series_name(i)`,
+  /// `app<i>/replicas`) from the per-shard recorders, merged ahead of the
+  /// control-plane series (`kPowerSeries` and the other `cluster/*`,
+  /// `fault/*`) and annotations, in canonical (app, then cluster) order —
+  /// the same series layout at every shard count. Call once, when the run
+  /// is over; read settled statistics with `stats_after`.
   [[nodiscard]] telemetry::Recorder take_recorder();
-  [[nodiscard]] const std::vector<double>& response_series(std::size_t app) const;
-  [[nodiscard]] const std::vector<double>& power_series() const;
-  [[nodiscard]] const std::vector<std::vector<double>>& allocation_series(
-      std::size_t app) const;
-  /// Statistics over periods recorded after `from_s` (skip settling).
-  [[nodiscard]] util::RunningStats response_stats_after(std::size_t app, double from_s) const;
 
   [[nodiscard]] const datacenter::Cluster& cluster() const noexcept { return cluster_; }
   /// The control-plane spine loop. External schedule events (setpoint and
@@ -250,6 +239,10 @@ class Testbed {
   void annotate(const std::string& label);
   void apply_tier_allocation(datacenter::VmId vm, double ghz);
   void record_power(double now);
+  /// Appends the cluster gauges (`cluster/*`, plus `cluster/live_vms` with
+  /// replication and the `fault/*` counters with a fault plan) at the end
+  /// of a control tick.
+  void record_cluster_gauges(double now);
   /// Creates the cluster VM backing one app-side replica slot.
   datacenter::VmId create_replica_vm(std::size_t app, std::size_t tier, std::size_t slot);
   /// App-side retire callback: tombstones the backing VM.
@@ -264,10 +257,6 @@ class Testbed {
   /// Block partition: the shard owning app `i`.
   [[nodiscard]] std::size_t shard_of_app(std::size_t i) const noexcept {
     return i * engine_.shard_count() / config_.num_apps;
-  }
-  /// The recorder app `i`'s series stream into (its shard's recorder).
-  [[nodiscard]] const telemetry::Recorder& recorder_for_app(std::size_t i) const noexcept {
-    return *shard_recorders_[shard_of_app(i)];
   }
 
   TestbedConfig config_;
@@ -299,7 +288,6 @@ class Testbed {
   /// concurrently across shards. The retire operations commute, so the
   /// outcome is deterministic regardless of arrival order.
   std::mutex retire_mutex_;
-  telemetry::ProbeSet probes_;
   fault::FaultInjector injector_;
   PowerOptimizer optimizer_;
   double last_power_time_s_ = 0.0;

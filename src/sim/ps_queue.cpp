@@ -48,7 +48,7 @@ double PsQueue::remove_job(JobId id) {
       vtime_ = 0.0;
       fast_ = false;
     } else if (marks_.size() <= kFastDownThreshold) {
-      convert_to_naive();
+      convert_to_residual();
     }
   } else {
     const auto it = residuals_.find(id);
@@ -96,14 +96,14 @@ void PsQueue::sync() {
   if (fast_) {
     fast_sync(elapsed_s);
   } else {
-    naive_sync(elapsed_s);
+    residual_sync(elapsed_s);
   }
 }
 
 // The historical formulation, preserved operation-for-operation so that the
 // per-job summation order (and therefore every downstream trajectory) is
 // bit-identical to the pre-optimization engine at bench concurrency levels.
-void PsQueue::naive_sync(double elapsed_s) {
+void PsQueue::residual_sync(double elapsed_s) {
   const double per_job = elapsed_s * capacity_ghz_ / static_cast<double>(residuals_.size());
   // Jobs whose residual hits zero here complete "now"; deliver them in id
   // order for determinism.
@@ -147,7 +147,7 @@ void PsQueue::fast_sync(double elapsed_s) {
     vtime_ = 0.0;
     fast_ = false;
   } else if (marks_.size() <= kFastDownThreshold) {
-    convert_to_naive();
+    convert_to_residual();
   }
   std::sort(finished.begin(), finished.end());
   deliver(finished);
@@ -172,7 +172,7 @@ void PsQueue::convert_to_fast() {
 }
 
 /// Rounds once per job: remaining = mark - vtime_ (<= 1 ulp of vtime_).
-void PsQueue::convert_to_naive() {
+void PsQueue::convert_to_residual() {
   for (const auto& [mark, id] : by_mark_) {
     residuals_.emplace(id, mark - vtime_);
   }

@@ -9,11 +9,11 @@
 // The queue is dual-mode:
 //
 // * Below kFastUpThreshold resident jobs it runs the classic per-job-residual
-//   formulation: every sync subtracts the shared quantum from each residual.
-//   That is O(jobs) per event, which is fine when jobs is a few hundred, and
-//   it reproduces the historical floating-point summation order bit-for-bit —
-//   the figure benches (<= 80 concurrent requests per tier) produce
-//   byte-identical output across this rewrite.
+//   formulation ("residual mode"): every sync subtracts the shared quantum
+//   from each residual. That is O(jobs) per event, which is fine when jobs
+//   is a few hundred, and it reproduces the historical floating-point
+//   summation order bit-for-bit — the figure benches (<= 80 concurrent
+//   requests per tier) produce byte-identical output across this rewrite.
 //
 // * At kFastUpThreshold jobs it converts to the virtual-time (attained-
 //   service) formulation: `vtime_` tracks the cumulative service every
@@ -25,8 +25,8 @@
 //   exact (vtime_ rebases to 0, marks == residuals); the down-conversion at
 //   kFastDownThreshold rounds once per job (<= 1 ulp of vtime_).
 //
-// The naive formulation is additionally retained in sim/naive.hpp as the
-// oracle for differential replay tests and the perf-bench baseline.
+// The pre-optimization queue is retained in tests/oracles/sim/naive.hpp as
+// the oracle for differential replay tests and the perf-bench baseline.
 #pragma once
 
 #include <cstdint>
@@ -94,11 +94,11 @@ class PsQueue {
  private:
   /// Advances all job state to sim.now(), delivering any completions.
   void sync();
-  void naive_sync(double elapsed_s);
+  void residual_sync(double elapsed_s);
   void fast_sync(double elapsed_s);
   void schedule_next_completion();
   void convert_to_fast();
-  void convert_to_naive();
+  void convert_to_residual();
   void deliver(std::vector<JobId>& finished);
 
   Simulation& sim_;
@@ -106,7 +106,7 @@ class PsQueue {
   CompletionHandler on_complete_;
 
   bool fast_ = false;
-  /// Naive mode: job id -> remaining Gcycles (historical summation order).
+  /// Residual mode: job id -> remaining Gcycles (historical summation order).
   std::unordered_map<JobId, double> residuals_;
   /// Fast mode: cumulative per-job attained service (Gcycles), rebased to 0
   /// whenever the queue empties to bound floating-point drift.

@@ -1,11 +1,11 @@
-// Order-statistic multiset: insert / erase-one / k-th smallest in O(log n).
+// Order-statistic multiset: insert / k-th smallest in O(log n).
 //
 // Implemented as a treap (randomized BST) over a contiguous node pool with
 // subtree sizes, using deterministic splitmix64 priorities so simulations
-// stay reproducible. This is the incremental index behind
-// util::SlidingWindow::quantile and the response-time monitor's
-// per-control-period 90-percentile — replacing the copy+sort that made every
-// quantile query O(n log n).
+// stay reproducible. This is the incremental index behind util::WindowStats
+// (the response-time monitor's per-control-period 90-percentile and the
+// tsdb rollups), replacing the copy+sort that made every quantile query
+// O(n log n).
 //
 // Values must not be NaN (comparisons would silently corrupt the tree);
 // ±infinity is fine. Callers that can see NaN must reject it first.
@@ -27,22 +27,6 @@ class OrderStatisticTree {
     root_ = merge(merge(less, node), rest);
   }
 
-  /// Removes one element equal to `value`; returns whether one was found.
-  bool erase_one(double value) {
-    std::uint32_t less, rest, equal, greater;
-    split_less(root_, value, less, rest);
-    split_leq(rest, value, equal, greater);
-    bool erased = false;
-    if (equal != kNil) {
-      const std::uint32_t victim = equal;
-      equal = merge(nodes_[victim].left, nodes_[victim].right);
-      free_.push_back(victim);
-      erased = true;
-    }
-    root_ = merge(less, merge(equal, greater));
-    return erased;
-  }
-
   /// k-th smallest element, 0-based. Throws when k >= size().
   [[nodiscard]] double kth(std::size_t k) const {
     if (k >= size()) throw std::out_of_range("OrderStatisticTree::kth: index out of range");
@@ -58,21 +42,6 @@ class OrderStatisticTree {
         node = nodes_[node].right;
       }
     }
-  }
-
-  /// Number of elements strictly less than `value`.
-  [[nodiscard]] std::size_t rank(double value) const {
-    std::size_t below = 0;
-    std::uint32_t node = root_;
-    while (node != kNil) {
-      if (nodes_[node].value < value) {
-        below += subtree_size(nodes_[node].left) + 1;
-        node = nodes_[node].right;
-      } else {
-        node = nodes_[node].left;
-      }
-    }
-    return below;
   }
 
   /// Exact quantile with linear interpolation between order statistics (the
@@ -95,7 +64,6 @@ class OrderStatisticTree {
 
   void clear() noexcept {
     nodes_.clear();
-    free_.clear();
     root_ = kNil;
   }
 
@@ -129,15 +97,8 @@ class OrderStatisticTree {
   }
 
   [[nodiscard]] std::uint32_t allocate(double value) {
-    std::uint32_t node;
-    if (!free_.empty()) {
-      node = free_.back();
-      free_.pop_back();
-      nodes_[node] = Node{value, next_priority()};
-    } else {
-      node = static_cast<std::uint32_t>(nodes_.size());
-      nodes_.push_back(Node{value, next_priority()});
-    }
+    const auto node = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.push_back(Node{value, next_priority()});
     return node;
   }
 
@@ -158,23 +119,6 @@ class OrderStatisticTree {
     pull(node);
   }
 
-  /// left := {v <= key}, right := {v > key}
-  void split_leq(std::uint32_t node, double key, std::uint32_t& left, std::uint32_t& right) {
-    if (node == kNil) {
-      left = kNil;
-      right = kNil;
-      return;
-    }
-    if (!(nodes_[node].value > key)) {
-      split_leq(nodes_[node].right, key, nodes_[node].right, right);
-      left = node;
-    } else {
-      split_leq(nodes_[node].left, key, left, nodes_[node].left);
-      right = node;
-    }
-    pull(node);
-  }
-
   std::uint32_t merge(std::uint32_t a, std::uint32_t b) {
     if (a == kNil) return b;
     if (b == kNil) return a;
@@ -189,7 +133,6 @@ class OrderStatisticTree {
   }
 
   std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_;
   std::uint32_t root_ = kNil;
   std::uint64_t priority_state_ = 0;
 };

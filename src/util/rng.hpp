@@ -51,7 +51,18 @@ class Rng {
     return static_cast<std::size_t>(uniform_int(0, static_cast<std::int64_t>(size) - 1));
   }
 
+  /// Gaussian draw. A zero `stddev` returns `mean` exactly, after drawing
+  /// (and discarding) one standard normal, so the engine advances as it
+  /// would for a positive `stddev` and later draws stay aligned. A negative
+  /// or non-finite `stddev` is rejected.
   double normal(double mean, double stddev) {
+    if (!(stddev > 0.0) || !std::isfinite(stddev)) {
+      if (!(stddev >= 0.0) || !std::isfinite(stddev)) {
+        throw std::invalid_argument("Rng::normal: stddev must be finite and >= 0");
+      }
+      static_cast<void>(std::normal_distribution<double>(0.0, 1.0)(engine_));
+      return mean;
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

@@ -1,13 +1,10 @@
 // Statistics primitives used throughout the simulator and benchmarks:
-// running moments (Welford), exact and streaming (P^2) percentile
-// estimation, fixed-bin histograms and sliding-window samplers.
+// running moments (Welford), exact percentiles, and the per-window
+// accumulator behind the monitor's and the tsdb's rollups.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <deque>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "util/order_stats.hpp"
@@ -47,26 +44,6 @@ class RunningStats {
 /// Convenience: copies, sorts, and evaluates `exact_quantile`.
 [[nodiscard]] double quantile(std::vector<double> values, double q);
 
-/// Streaming quantile estimator (Jain & Chlamtac's P^2 algorithm).
-/// Uses O(1) memory; converges to the true quantile for stationary inputs.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x) noexcept;
-  /// Current estimate. Exact while fewer than 5 samples have been seen.
-  [[nodiscard]] double value() const noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    // marker heights
-  std::array<double, 5> positions_{};  // actual marker positions
-  std::array<double, 5> desired_{};    // desired marker positions
-  std::array<double, 5> increments_{};
-};
-
 /// Streaming accumulator for one bounded window of samples: Welford moments
 /// plus an incremental order-statistic index, so count/min/mean/max and any
 /// exact type-7 quantile are available at every point of the stream without
@@ -101,62 +78,6 @@ class WindowStats {
  private:
   RunningStats moments_;
   OrderStatisticTree order_;
-};
-
-/// Keeps the most recent `capacity` samples; answers mean and quantiles over
-/// the window. Used by the response-time monitor.
-///
-/// Samples are mirrored into an incremental order-statistic index, so
-/// `quantile` is O(log n) instead of the historical copy+sort (O(n log n))
-/// per query. NaN samples are rejected (they would corrupt the ordered
-/// index); ±infinity is accepted.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity);
-
-  void add(double x);
-  void clear() noexcept {
-    samples_.clear();
-    order_.clear();
-  }
-
-  [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-  [[nodiscard]] double mean() const noexcept;
-  /// Exact windowed quantile (type-7 interpolation), O(log n).
-  [[nodiscard]] double quantile(double q) const;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> samples_;      // insertion order, for eviction
-  OrderStatisticTree order_;        // value order, for quantiles
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples (including
-/// ±infinity) are clamped into the first/last bin so totals are conserved.
-/// NaN samples are counted separately in `invalid()` — they belong to no bin
-/// and previously invoked undefined behaviour via a float->int cast.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// NaN samples seen by add(); never binned, never part of total().
-  [[nodiscard]] std::size_t invalid() const noexcept { return invalid_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  /// Render a short textual summary (for example binaries / debugging).
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t invalid_ = 0;
 };
 
 }  // namespace vdc::util

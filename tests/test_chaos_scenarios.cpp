@@ -206,14 +206,17 @@ TEST(ChaosScenarios, RackFailureEvictsWholeRackAndReplacesOffRack) {
     EXPECT_FALSE(cluster.server(s).failed()) << "srv" << s << " not repaired";
   }
   // SLOs re-attained once the dust settles.
+  const telemetry::Recorder recorded = bed.take_recorder();
   for (std::size_t i = 0; i < bed.app_count(); ++i) {
-    EXPECT_NEAR(bed.response_stats_after(i, 650.0).mean(), 1.0, 0.35) << "app " << i;
+    const util::RunningStats settled = core::stats_after(
+        recorded.values(core::response_series_name(i)), 650.0, config.control_period_s);
+    EXPECT_NEAR(settled.mean(), 1.0, 0.35) << "app " << i;
   }
   // The failure and the repair are visible in the annotations.
   bool saw_failure = false;
   bool saw_repair = false;
   bool saw_restart = false;
-  for (const telemetry::Annotation& a : bed.recorder().annotations()) {
+  for (const telemetry::Annotation& a : recorded.annotations()) {
     saw_failure |= a.label.find("rack-failure rack0") != std::string::npos;
     saw_repair |= a.label.find("rack-repair rack0") != std::string::npos;
     saw_restart |= a.label.find("vm-restart") != std::string::npos;

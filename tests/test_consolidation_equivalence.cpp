@@ -1,11 +1,11 @@
 // Differential tests: the fast consolidation engine (incremental
 // WorkingPlacement aggregates, SlackIndex target selection, plan-exact
 // Minimum Slack pruning) against the retained naive oracles in
-// consolidate/naive.hpp — the same strategy as test_eventloop_equivalence
-// for the event loop. The fast engine is required to be *plan-exact*: for
-// every seeded fleet, including ones where the Minimum Slack step budget
-// binds and epsilon escalates mid-search, the two engines must produce
-// move-for-move identical plans. Only reported step counts may differ
+// tests/oracles/consolidate/naive.hpp — the same strategy as
+// test_eventloop_equivalence for the event loop. The fast engine is
+// required to be *plan-exact*: for every seeded fleet, including ones where
+// the Minimum Slack step budget binds and epsilon escalates mid-search, the
+// two engines must produce move-for-move identical plans. Only reported step counts may differ
 // (armed branch-and-bound skips counted work), and only when the budget
 // provably cannot bind.
 #include <gtest/gtest.h>
@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "consolidate/ipac.hpp"
-#include "consolidate/naive.hpp"
 #include "consolidate/pmapper.hpp"
+#include "oracles/consolidate/naive.hpp"
 #include "util/rng.hpp"
 
 namespace vdc::consolidate {

@@ -24,13 +24,13 @@
 
 #include "consolidate/ffd.hpp"
 #include "consolidate/ipac.hpp"
-#include "consolidate/naive.hpp"
 #include "consolidate/pmapper.hpp"
 #include "consolidate/working_placement.hpp"
 #include "core/scenario.hpp"
 #include "core/sysid_experiment.hpp"
 #include "core/trace_sim.hpp"
 #include "golden.hpp"
+#include "oracles/consolidate/naive.hpp"
 #include "telemetry/export.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"

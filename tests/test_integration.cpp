@@ -185,8 +185,13 @@ TEST(Integration, PerAppSetpointsAreIndependent) {
   tb.set_setpoint(0, 0.7);
   tb.set_setpoint(1, 1.3);
   tb.run_until(600.0);
-  EXPECT_NEAR(tb.response_stats_after(0, 250.0).mean(), 0.7, 0.2);
-  EXPECT_NEAR(tb.response_stats_after(1, 250.0).mean(), 1.3, 0.35);
+  const telemetry::Recorder recorded = tb.take_recorder();
+  const auto settled = [&](std::size_t app) {
+    return core::stats_after(recorded.values(core::response_series_name(app)), 250.0,
+                             config.control_period_s);
+  };
+  EXPECT_NEAR(settled(0).mean(), 0.7, 0.2);
+  EXPECT_NEAR(settled(1).mean(), 1.3, 0.35);
 }
 
 }  // namespace

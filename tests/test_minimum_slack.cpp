@@ -4,8 +4,8 @@
 
 #include <numeric>
 
-#include "consolidate/naive.hpp"
 #include "datacenter/cluster.hpp"
+#include "oracles/consolidate/naive.hpp"
 #include "util/rng.hpp"
 
 namespace vdc::consolidate {

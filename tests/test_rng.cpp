@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "util/statistics.hpp"
 
@@ -120,6 +122,36 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 50000; ++i) s.add(rng.normal(-1.0, 3.0));
   EXPECT_NEAR(s.mean(), -1.0, 0.1);
   EXPECT_NEAR(s.stddev(), 3.0, 0.1);
+}
+
+TEST(Rng, NormalWithZeroStddevReturnsMeanAndKeepsStreamAligned) {
+  // Regression: normal(mean, 0) broke std::normal_distribution's
+  // stddev > 0 precondition (a libstdc++ assertion abort). It now returns
+  // `mean` and advances the engine exactly as a positive stddev would.
+  Rng zero(23);
+  Rng positive(23);
+  EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+  EXPECT_EQ(zero.normal(-1.0, -0.0), -1.0);
+  static_cast<void>(positive.normal(2.5, 1.0));
+  static_cast<void>(positive.normal(-1.0, 4.0));
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(zero.normal(0.0, 1.0), positive.normal(0.0, 1.0)) << "draw " << i;
+    EXPECT_EQ(zero.uniform(), positive.uniform()) << "draw " << i;
+  }
+}
+
+TEST(Rng, NormalRejectsNegativeOrNonFiniteStddev) {
+  Rng rng(29);
+  for (const double stddev : {-1.0, -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()}) {
+    try {
+      static_cast<void>(rng.normal(0.0, stddev));
+      ADD_FAILURE() << "accepted stddev " << stddev;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("stddev"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(Rng, BernoulliFrequency) {

@@ -113,144 +113,6 @@ TEST_P(QuantileSweep, MatchesSortedIndexOnUniformGrid) {
 INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0));
 
-class P2Sweep : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2Sweep, ConvergesToExactQuantileOnUniform) {
-  const double q = GetParam();
-  P2Quantile p2(q);
-  std::mt19937 gen(42);
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  std::vector<double> all;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = dist(gen);
-    p2.add(x);
-    all.push_back(x);
-  }
-  const double exact = quantile(all, q);
-  EXPECT_NEAR(p2.value(), exact, 0.02) << "q=" << q;
-}
-
-TEST_P(P2Sweep, ConvergesOnExponential) {
-  const double q = GetParam();
-  if (q == 0.0 || q == 1.0) GTEST_SKIP() << "degenerate for heavy tails";
-  P2Quantile p2(q);
-  std::mt19937 gen(43);
-  std::exponential_distribution<double> dist(1.0);
-  std::vector<double> all;
-  for (int i = 0; i < 30000; ++i) {
-    const double x = dist(gen);
-    p2.add(x);
-    all.push_back(x);
-  }
-  const double exact = quantile(all, q);
-  EXPECT_NEAR(p2.value(), exact, 0.05 * std::max(1.0, exact)) << "q=" << q;
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2Sweep,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9, 0.95));
-
-TEST(P2Quantile, ExactBelowFiveSamples) {
-  P2Quantile p2(0.5);
-  p2.add(3.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 3.0);
-  p2.add(1.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-  p2.add(2.0);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.0);
-}
-
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindow w(3);
-  w.add(1.0);
-  w.add(2.0);
-  w.add(3.0);
-  w.add(10.0);  // evicts 1.0
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0), 2.0);
-}
-
-TEST(SlidingWindow, RejectsZeroCapacity) {
-  EXPECT_THROW(SlidingWindow(0), std::invalid_argument);
-}
-
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamped into first bin
-  h.add(0.5);
-  h.add(9.99);
-  h.add(100.0);  // clamped into last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-  EXPECT_FALSE(h.to_string().empty());
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-// ---- empty-window edges (the sensor-fault paths hit these) ------------------
-
-TEST(SlidingWindow, QuantileOnEmptyWindowIsZeroNotathrow) {
-  SlidingWindow w(8);
-  EXPECT_DOUBLE_EQ(w.quantile(0.9), 0.0);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0), 0.0);
-}
-
-TEST(SlidingWindow, QuantileWithSingleSampleIsThatSample) {
-  SlidingWindow w(8);
-  w.add(3.5);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0), 3.5);
-  EXPECT_DOUBLE_EQ(w.quantile(0.9), 3.5);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0), 3.5);
-}
-
-// Regression: Histogram::add computed the bin index with a float->size_t
-// cast BEFORE clamping, which is undefined behaviour for NaN, ±infinity and
-// anything beyond ±2^63. Finite out-of-range values must clamp; NaN belongs
-// to no bin and is counted separately.
-TEST(Histogram, ExtremeAndNanSamplesAreSafe) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  h.add(1e300);
-  h.add(-1e300);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.invalid(), 0u);
-
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  EXPECT_EQ(h.invalid(), 2u);
-  EXPECT_EQ(h.total(), 4u);  // NaN never binned, never part of total
-}
-
-TEST(SlidingWindow, RejectsNanSamples) {
-  SlidingWindow w(8);
-  w.add(1.0);
-  EXPECT_THROW(w.add(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
-  EXPECT_EQ(w.size(), 1u);  // the bad sample was not admitted
-}
-
-TEST(P2Quantile, EmptyEstimatorReportsZero) {
-  const P2Quantile p2(0.9);
-  EXPECT_DOUBLE_EQ(p2.value(), 0.0);
-}
-
-TEST(P2Quantile, SingleSampleIsExact) {
-  P2Quantile p2(0.9);
-  p2.add(2.25);
-  EXPECT_DOUBLE_EQ(p2.value(), 2.25);
-}
-
 TEST(WindowStats, MatchesRunningStatsAndExactQuantileBitForBit) {
   // WindowStats is the shared order-statistic glue behind both the
   // monitor's percentile path and the tsdb's tier rollups; its outputs

@@ -11,9 +11,7 @@
 #include <vector>
 
 #include "golden.hpp"
-#include "sim/simulation.hpp"
 #include "telemetry/export.hpp"
-#include "telemetry/probe.hpp"
 
 namespace vdc::telemetry {
 namespace {
@@ -199,21 +197,6 @@ TEST(RecorderTsdb, EvictionShrinksVisibleValues) {
             4u);  // window [0,4) at 1 s synthesized spacing, period 4 s
 }
 
-TEST(RecorderTsdb, PeriodicSamplerStampsSimulationTime) {
-  sim::Simulation sim;
-  Recorder rec;
-  ProbeSet probes;
-  probes.add("clock", [&] { return sim.now(); });
-  PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
-  sampler.start();
-  sim.run_until(20.0);
-  EXPECT_EQ(rec.values("clock"), (std::vector<double>{4.0, 8.0, 12.0, 16.0, 20.0}));
-  const auto id = rec.tsdb().find("clock");
-  ASSERT_TRUE(id.has_value());
-  ASSERT_TRUE(rec.tsdb().last_time_s(*id).has_value());
-  EXPECT_EQ(*rec.tsdb().last_time_s(*id), 20.0);  // real sim time, not index
-}
-
 TEST(RecorderTsdb, CsvExportByteIdenticalToRawBackend) {
   // The golden holds what the retired raw-vector store exported for these
   // exact appends (ragged lengths and a vector series included).
@@ -224,39 +207,6 @@ TEST(RecorderTsdb, CsvExportByteIdenticalToRawBackend) {
   }
   tiered.append("power", 123.456789);
   check_golden("recorder_raw_export.csv", to_csv(tiered));
-}
-
-TEST(Probe, SetSamplesEveryGaugeIntoItsSeries) {
-  Recorder rec;
-  double power = 100.0;
-  int servers = 4;
-  ProbeSet probes;
-  probes.add("power", [&] { return power; });
-  probes.add("servers", [&] { return double(servers); });
-  probes.sample(rec);
-  power = 80.0;
-  servers = 3;
-  probes.sample(rec);
-  EXPECT_EQ(rec.values("power"), (std::vector<double>{100.0, 80.0}));
-  EXPECT_EQ(rec.values("servers"), (std::vector<double>{4.0, 3.0}));
-}
-
-TEST(Probe, RejectsEmptyNameAndNullGauge) {
-  ProbeSet probes;
-  EXPECT_THROW(probes.add("", [] { return 0.0; }), std::invalid_argument);
-  EXPECT_THROW(probes.add("x", nullptr), std::invalid_argument);
-}
-
-TEST(PeriodicSampler, SamplesOncePerPeriodStartingAtFirstPeriod) {
-  sim::Simulation sim;
-  Recorder rec;
-  ProbeSet probes;
-  probes.add("clock", [&] { return sim.now(); });
-  PeriodicSampler sampler(sim, std::move(probes), rec, 4.0);
-  sampler.start();
-  sim.run_until(20.0);  // samples at t = 4, 8, 12, 16, 20
-  EXPECT_EQ(sampler.samples_taken(), 5u);
-  EXPECT_EQ(rec.values("clock"), (std::vector<double>{4.0, 8.0, 12.0, 16.0, 20.0}));
 }
 
 TEST(Export, CsvRoundTripsExactly) {

@@ -19,6 +19,13 @@ TestbedConfig fast_config() {
   return config;
 }
 
+/// Response-time statistics of `app` after `from_s`, read from a finished
+/// run's recorder (every config here keeps the default control period).
+util::RunningStats settled(const telemetry::Recorder& recorded, std::size_t app, double from_s) {
+  return stats_after(recorded.values(response_series_name(app)), from_s,
+                     TestbedConfig{}.control_period_s);
+}
+
 /// Expects construction to throw std::invalid_argument naming `field`.
 void expect_rejected(const TestbedConfig& config, const std::string& field) {
   try {
@@ -98,7 +105,7 @@ TEST(Testbed, RunTimeSetpointChangeRejectsNonPositiveOrNonFinite) {
     }
   }
   tb.run_until(400.0);
-  EXPECT_NEAR(tb.response_stats_after(0, 200.0).mean(), fast_config().setpoint_s, 0.3);
+  EXPECT_NEAR(settled(tb.take_recorder(), 0, 200.0).mean(), fast_config().setpoint_s, 0.3);
 }
 
 TEST(Testbed, IdentifiedModelIsPlausible) {
@@ -113,8 +120,9 @@ TEST(Testbed, IdentifiedModelIsPlausible) {
 TEST(Testbed, ControlLoopConvergesNearSetpoint) {
   Testbed tb{fast_config()};
   tb.run_until(600.0);
+  const telemetry::Recorder recorded = tb.take_recorder();
   for (std::size_t i = 0; i < tb.app_count(); ++i) {
-    const util::RunningStats s = tb.response_stats_after(i, 200.0);
+    const util::RunningStats s = settled(recorded, i, 200.0);
     EXPECT_NEAR(s.mean(), 1.0, 0.25) << "app " << i;
   }
 }
@@ -123,10 +131,11 @@ TEST(Testbed, SeriesAreRecordedPerControlPeriod) {
   Testbed tb{fast_config()};
   tb.run_until(100.0);
   // 100 s at 4 s periods: 25 ticks, power recorded from the 2nd onward.
-  EXPECT_EQ(tb.response_series(0).size(), 25u);
-  EXPECT_EQ(tb.allocation_series(0).size(), 25u);
-  EXPECT_GE(tb.power_series().size(), 24u);
-  for (const double p : tb.power_series()) {
+  const telemetry::Recorder recorded = tb.take_recorder();
+  EXPECT_EQ(recorded.values(response_series_name(0)).size(), 25u);
+  EXPECT_EQ(recorded.rows(allocation_series_name(0)).size(), 25u);
+  EXPECT_GE(recorded.values(kPowerSeries).size(), 24u);
+  for (const double p : recorded.values(kPowerSeries)) {
     EXPECT_GT(p, 0.0);
     EXPECT_LT(p, 400.0);  // two dual-2GHz servers peak below 2x180 W
   }
@@ -136,7 +145,7 @@ TEST(Testbed, SetpointChangeIsTracked) {
   Testbed tb{fast_config()};
   tb.set_setpoint(0, 0.7);
   tb.run_until(600.0);
-  const util::RunningStats s = tb.response_stats_after(0, 250.0);
+  const util::RunningStats s = settled(tb.take_recorder(), 0, 250.0);
   EXPECT_NEAR(s.mean(), 0.7, 0.2);
 }
 
@@ -145,11 +154,12 @@ TEST(Testbed, SurgeRaisesThenRecovers) {
   tb.run_until(300.0);
   tb.set_concurrency(0, 80);
   tb.run_until(700.0);
+  const telemetry::Recorder recorded = tb.take_recorder();
   // Late in the surge the controller has recovered to the set point.
-  const util::RunningStats late = tb.response_stats_after(0, 500.0);
+  const util::RunningStats late = settled(recorded, 0, 500.0);
   EXPECT_NEAR(late.mean(), 1.0, 0.35);
   // And the allocations for app 0 have grown to absorb the doubled load.
-  const auto& allocs = tb.allocation_series(0);
+  const auto& allocs = recorded.rows(allocation_series_name(0));
   const double before = allocs[70][0] + allocs[70][1];   // t = 280 s
   const double during = allocs.back()[0] + allocs.back()[1];
   EXPECT_GT(during, before);
@@ -163,13 +173,14 @@ TEST(Testbed, DvfsReducesPowerVersusFixedFrequency) {
   Testbed b{without};
   a.run_until(300.0);
   b.run_until(300.0);
-  double pa = 0.0;
-  for (const double p : a.power_series()) pa += p;
-  pa /= static_cast<double>(a.power_series().size());
-  double pb = 0.0;
-  for (const double p : b.power_series()) pb += p;
-  pb /= static_cast<double>(b.power_series().size());
-  EXPECT_LT(pa, pb);
+  const auto mean_power = [](Testbed& tb) {
+    const telemetry::Recorder recorded = tb.take_recorder();
+    const std::vector<double>& power = recorded.values(kPowerSeries);
+    double sum = 0.0;
+    for (const double p : power) sum += p;
+    return sum / static_cast<double>(power.size());
+  };
+  EXPECT_LT(mean_power(a), mean_power(b));
 }
 
 TEST(Testbed, TwoLevelModeConsolidatesWithLiveMigrations) {
@@ -184,11 +195,12 @@ TEST(Testbed, TwoLevelModeConsolidatesWithLiveMigrations) {
   EXPECT_GT(tb.completed_migrations(), 0u);
   EXPECT_LT(tb.cluster().active_server_count(), 6u);
   // SLAs survive the consolidation (skip the settling + first migrations).
+  const telemetry::Recorder recorded = tb.take_recorder();
   for (std::size_t i = 0; i < tb.app_count(); ++i) {
-    EXPECT_NEAR(tb.response_stats_after(i, 300.0).mean(), 1.0, 0.3) << "app " << i;
+    EXPECT_NEAR(settled(recorded, i, 300.0).mean(), 1.0, 0.3) << "app " << i;
   }
   // Power drops versus the scattered start.
-  const auto& power = tb.power_series();
+  const auto& power = recorded.values(kPowerSeries);
   double early = 0.0;
   double late = 0.0;
   for (std::size_t k = 5; k < 25; ++k) early += power[k];
@@ -236,12 +248,13 @@ TEST(Testbed, ParallelControlPlaneIsBitIdenticalToSerial) {
     config.parallel_control_min_apps = min_apps;  // 0 forces the pool
     Testbed tb{config};
     tb.run_until(300.0);
+    const telemetry::Recorder recorded = tb.take_recorder();
     Series out;
     for (std::size_t i = 0; i < tb.app_count(); ++i) {
-      out.responses.push_back(tb.response_series(i));
-      out.allocations.push_back(tb.allocation_series(i));
+      out.responses.push_back(recorded.values(response_series_name(i)));
+      out.allocations.push_back(recorded.rows(allocation_series_name(i)));
     }
-    out.power = tb.power_series();
+    out.power = recorded.values(kPowerSeries);
     return out;
   };
   const Series serial = run(SIZE_MAX);
@@ -296,12 +309,12 @@ TEST(Testbed, SupervisorScalesOutUnderSurgeAndCreatesVms) {
   EXPECT_EQ(tb.cluster().vm_count(), vms_before + tb.scale_out_count());
   EXPECT_EQ(tb.cluster().live_vm_count(),
             vms_before + tb.scale_out_count() - tb.scale_in_count());
+  const telemetry::Recorder recorded = tb.take_recorder();
   // The surge is re-attained: settled response time back near the setpoint.
-  const util::RunningStats late = tb.response_stats_after(0, 700.0);
+  const util::RunningStats late = settled(recorded, 0, 700.0);
   EXPECT_LT(late.mean(), 1.3);
   // Replica counts (per app, shard-recorded) and live-VM totals (cluster)
   // are both in the merged recording when scaling is on.
-  const telemetry::Recorder recorded = tb.take_recorder();
   EXPECT_TRUE(recorded.has(replica_series_name(0)));
   EXPECT_TRUE(recorded.has(kLiveVmsSeries));
 }
@@ -314,8 +327,8 @@ TEST(Testbed, SingleReplicaConfigRecordsNoReplicaSeries) {
   tb.run_until(100.0);
   EXPECT_EQ(tb.scale_out_count(), 0u);
   EXPECT_EQ(tb.scale_in_count(), 0u);
-  // Checked on the merged view: the control-plane recorder alone never
-  // holds per-app series, so a check there would pass vacuously.
+  // The response series must be present, so the negative checks cannot
+  // pass vacuously.
   const telemetry::Recorder recorded = tb.take_recorder();
   ASSERT_TRUE(recorded.has(response_series_name(0)));
   EXPECT_FALSE(recorded.has(replica_series_name(0)));

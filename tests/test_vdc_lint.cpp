@@ -82,6 +82,25 @@ TEST(VdcLint, EveryRuleFiresOnItsFixture) {
   }
 }
 
+TEST(VdcLint, OracleScopesMirrorTheirModules) {
+  // The reference engines moved out of src/ keep the rules they had there,
+  // so their suppressions still match real findings.
+  for (const char* rel : {"src/sim/x.cpp", "tests/oracles/sim/naive.cpp"}) {
+    const RuleConfig cfg = config_for(rel);
+    EXPECT_TRUE(cfg.units && cfg.float_eq && cfg.unordered_iter && cfg.shard_safety) << rel;
+  }
+  for (const char* rel : {"src/consolidate/x.cpp", "tests/oracles/consolidate/naive.cpp"}) {
+    const RuleConfig cfg = config_for(rel);
+    EXPECT_TRUE(cfg.units && cfg.float_eq && cfg.unordered_iter) << rel;
+    EXPECT_FALSE(cfg.shard_safety) << rel;
+  }
+  // Other test code, the dense QP oracle included, stays out of scope.
+  for (const char* rel : {"tests/oracles/dense_hildreth.cpp", "tests/test_sim.cpp"}) {
+    const RuleConfig cfg = config_for(rel);
+    EXPECT_FALSE(cfg.units || cfg.float_eq || cfg.unordered_iter || cfg.shard_safety) << rel;
+  }
+}
+
 TEST(VdcLint, SuppressionRoundTripIsClean) {
   // A file whose every violation carries a reasoned annotation produces only
   // suppressed findings: the tool reports them but exits clean.

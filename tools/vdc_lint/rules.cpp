@@ -844,13 +844,21 @@ RuleConfig config_for(std::string_view rel) {
   RuleConfig cfg;
   const bool in_src = starts_with(rel, "src/");
   const bool in_tools = starts_with(rel, "tools/");
-  cfg.units = (in_src || in_tools) && !starts_with(rel, "src/linalg/") &&
-              !starts_with(rel, "src/util/");
-  cfg.float_eq = (in_src || in_tools) && !starts_with(rel, "src/linalg/");
+  // The reference engines in tests/oracles/<module>/ keep the rules of the
+  // src/<module>/ code they mirror.
+  const bool sim_oracle = starts_with(rel, "tests/oracles/sim/");
+  const bool consolidate_oracle = starts_with(rel, "tests/oracles/consolidate/");
+  const bool oracle = sim_oracle || consolidate_oracle;
+  cfg.units = ((in_src || in_tools) && !starts_with(rel, "src/linalg/") &&
+               !starts_with(rel, "src/util/")) ||
+              oracle;
+  cfg.float_eq = ((in_src || in_tools) && !starts_with(rel, "src/linalg/")) || oracle;
   cfg.unordered_iter = starts_with(rel, "src/sim/") || starts_with(rel, "src/consolidate/") ||
-                       starts_with(rel, "src/datacenter/") || starts_with(rel, "src/core/");
+                       starts_with(rel, "src/datacenter/") || starts_with(rel, "src/core/") ||
+                       oracle;
   cfg.shard_safety = starts_with(rel, "src/sim/") || starts_with(rel, "src/app/") ||
-                     starts_with(rel, "src/datacenter/") || starts_with(rel, "src/core/");
+                     starts_with(rel, "src/datacenter/") || starts_with(rel, "src/core/") ||
+                     sim_oracle;
   return cfg;
 }
 

@@ -60,7 +60,9 @@ struct RuleConfig {
 /// and src/util (dimensionless data structures); float-eq to src/ and tools/
 /// minus src/linalg (numerics owns its exact comparisons); unordered-iter to
 /// the four plan-ordering subsystems; shard-safety to the subsystems on the
-/// sharded engine's parallel path; the rest everywhere.
+/// sharded engine's parallel path; the rest everywhere. The reference
+/// engines under tests/oracles/sim/ and tests/oracles/consolidate/ get the
+/// rules of the src/ module they mirror.
 RuleConfig config_for(std::string_view rel);
 
 /// All rules enabled regardless of path — used by the fixture tests.
