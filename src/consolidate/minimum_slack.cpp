@@ -1,6 +1,7 @@
 #include "consolidate/minimum_slack.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -14,7 +15,10 @@ namespace {
 // reference (naive::minimum_slack in tests/oracles/consolidate/naive.hpp),
 // all of them *plan-exact*: the engine returns the same selection as the
 // reference for every input, including when the step budget binds and
-// epsilon escalates mid-search.
+// epsilon escalates mid-search. The reported slack_ghz is not bit-exact:
+// the tail collapse (below) skips add/subtract pairs on the running
+// selected demand that the reference performs, so the two sums can round
+// differently in the last bits.
 //
 //  * Branch-and-bound pruning: candidates are sorted by descending demand,
 //    so a suffix sum bounds the demand any subtree can still pack. When
@@ -41,6 +45,8 @@ namespace {
 //    with no other effect. The fast engine binary-searches past the run
 //    and adds the skipped count in bulk, landing exactly on any budget
 //    threshold in between so escalation fires at the same logical step.
+//    Below utilization target 1 the CPU limit binds first, and its reject
+//    runs are jumped the same way.
 //
 //  * All-fits tail collapse: once every remaining candidate fits together
 //    (CPU, memory and raw slack all hold for the full tail, with a safety
@@ -49,8 +55,10 @@ namespace {
 //    incumbent at every step; every other node is a strict subset of the
 //    tail, worse by at least the smallest demand, so it is one counted
 //    step with no effect. The fast engine simulates the descent explicitly
-//    (m attempts, exact floating-point order) and adds the remaining
-//    2^m - 1 - m attempts in bulk through the same escalation ladder. This
+//    (m attempts, in the reference's floating-point order) and adds the
+//    remaining 2^m - 1 - m attempts in bulk through the same escalation
+//    ladder, without replaying their add/subtract pairs on the running
+//    selected demand (hence the last-bit slack difference above). This
 //    is what makes budget-exhausted relief searches cheap: the exponential
 //    churn near the leaves — where tails fit — never runs node by node.
 //    Guards: no equal-demand/memory sibling pair in the tail (a symmetry
@@ -61,7 +69,8 @@ namespace {
 //    selection stack live in thread-local buffers whose capacity persists
 //    across calls — PAC calls Minimum Slack once per server visit, and the
 //    allocation churn of fresh vectors per call used to rival the search
-//    itself.
+//    itself. The sorted ordering is reused for the same candidate span and
+//    filtered, not re-sorted, for a strict subset of it.
 struct Scratch {
   std::vector<VmId> order;        // candidates, largest demand first
   std::vector<double> demand_of;  // demand_of[i] = demand of order[i]
@@ -75,11 +84,117 @@ struct Scratch {
   std::vector<VmId> selected;               // generic path: current selection
   const DataCenterSnapshot* cached_snapshot = nullptr;  // sorted-order cache key
   std::vector<VmId> cached;                             // candidate span it was built from
+  std::vector<char> marks;  // subset filter: marks[vm] set while vm is a candidate
 };
 
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
+}
+
+/// True when every cached demand/memory mirror still equals the snapshot's
+/// value for its VM (bitwise: the mirrors are verbatim copies).
+bool mirrors_match(const Scratch& s, const DataCenterSnapshot& snapshot) {
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const VmSnapshot& info = snapshot.vm(s.order[i]);
+    // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
+    if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) return false;
+  }
+  return true;
+}
+
+/// Builds the sorted order of `candidates`, a strict subset of the cached
+/// span, by filtering the cached order in place instead of re-sorting. The
+/// comparator (demand descending, id ascending) is a strict total order on
+/// distinct ids, so the sorted order of a subset is unique and equals the
+/// cached order with the other ids removed — provided every kept mirror
+/// still matches the snapshot, which is verified on the way. Returns false
+/// (leaving the scratch to be rebuilt by the sort) on a duplicate candidate,
+/// a candidate absent from the cached order, or a stale mirror. Every mark
+/// set here is cleared before returning.
+bool filter_cached_order(Scratch& s, const DataCenterSnapshot& snapshot,
+                         std::span<const VmId> candidates) {
+  const std::size_t ids = snapshot.vms.size();
+  if (s.marks.size() < ids) s.marks.resize(ids, 0);
+  const auto clear_marks = [&] {
+    for (const VmId vm : candidates) {
+      if (vm < ids) s.marks[vm] = 0;
+    }
+  };
+  for (const VmId vm : candidates) {
+    if (vm >= ids || s.marks[vm] != 0) {  // foreign id or duplicate
+      clear_marks();
+      return false;
+    }
+    s.marks[vm] = 1;
+  }
+  std::size_t kept = 0;
+  bool fresh = true;
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const VmId vm = s.order[i];
+    if (vm >= ids || s.marks[vm] == 0) continue;
+    s.marks[vm] = 0;
+    const VmSnapshot& info = snapshot.vm(vm);
+    // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
+    if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) {
+      fresh = false;
+      break;
+    }
+    s.order[kept] = vm;
+    s.demand_of[kept] = s.demand_of[i];
+    s.memory_of[kept] = s.memory_of[i];
+    ++kept;
+  }
+  clear_marks();
+  if (!fresh || kept != candidates.size()) return false;
+  s.order.resize(kept);
+  s.demand_of.resize(kept);
+  s.memory_of.resize(kept);
+  return true;
+}
+
+/// Cold path: sorts `candidates` by descending demand (ties by id) and
+/// copies their demand/memory mirrors from the snapshot.
+void sort_order(Scratch& s, const DataCenterSnapshot& snapshot,
+                std::span<const VmId> candidates) {
+  s.order.assign(candidates.begin(), candidates.end());
+  std::sort(s.order.begin(), s.order.end(), [&](VmId a, VmId b) {
+    const double da = snapshot.vm(a).cpu_demand_ghz;
+    const double db = snapshot.vm(b).cpu_demand_ghz;
+    // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
+    if (da != db) return da > db;
+    return a < b;
+  });
+  s.demand_of.resize(s.order.size());
+  s.memory_of.resize(s.order.size());
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const VmSnapshot& info = snapshot.vm(s.order[i]);
+    s.demand_of[i] = info.cpu_demand_ghz;
+    s.memory_of[i] = info.memory_mb;
+  }
+}
+
+/// Suffix sums, memory minima and duplicate flags over the order's mirrors.
+void build_suffixes(Scratch& s) {
+  const std::size_t count = s.order.size();
+  s.suffix.resize(count + 1);
+  s.msuffix.resize(count + 1);
+  s.msuffix_min.resize(count + 1);
+  s.dupfree.resize(count + 1);
+  s.suffix[count] = 0.0;
+  s.msuffix[count] = 0.0;
+  s.msuffix_min[count] = std::numeric_limits<double>::infinity();
+  s.dupfree[count] = 1;
+  for (std::size_t i = count; i-- > 0;) {
+    s.suffix[i] = s.suffix[i + 1] + s.demand_of[i];
+    s.msuffix[i] = s.msuffix[i + 1] + s.memory_of[i];
+    s.msuffix_min[i] = std::min(s.msuffix_min[i + 1], s.memory_of[i]);
+    s.dupfree[i] = s.dupfree[i + 1] &&
+                   // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
+                   (i + 1 >= count || s.demand_of[i] != s.demand_of[i + 1] ||
+                    // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
+                    s.memory_of[i] != s.memory_of[i + 1]);
+  }
 }
 
 /// Builtin-only search: explicit-stack DFS over the scratch mirrors.
@@ -253,11 +368,32 @@ void search_builtin(Scratch& s, MinSlackResult& best, const MinSlackOptions& opt
       continue;
     }
     if (check_cpu && base_demand_ghz + sel_demand + demand > cpu_limit + 1e-9) {
-      ++i;
+      // CPU-limit reject run: below a utilization target of 1 the limit
+      // binds long before the raw-capacity bound above, and the reference
+      // engine touches every candidate that breaks it as one counted step
+      // with no other effect (a symmetry skip costs the same one step, the
+      // raw bound passes for smaller demands, and the tail collapse cannot
+      // fire: suffix[j] >= demand_of[j] keeps its CPU test failing). Under
+      // round-to-nearest `used + d` is monotone in d, and the candidates are
+      // sorted by descending demand, so the run is contiguous: jump past it
+      // with a binary search on the same expression and consume its steps
+      // in bulk, exactly like the unfittable-prefix jump.
+      if (bnb) {  // armed B&B prunes inside reject runs at the loop top
+        ++i;
+        continue;
+      }
+      const double used = base_demand_ghz + sel_demand;
+      const double cpu_room = cpu_limit + 1e-9;
+      const std::size_t next = static_cast<std::size_t>(
+          std::partition_point(demand_of + i + 1, demand_of + n,
+                               [&](double d) { return used + d > cpu_room; }) -
+          demand_of);
+      if (consume(next - i - 1)) break;  // candidate i was already counted
+      i = next;
       continue;
     }
     if (check_memory && base_memory_mb + sel_memory + memory > memory_limit_mb + 1e-9) {
-      // Memory-reject run: successive candidates that fit the CPU slack but
+      // Memory-reject run: successive candidates that fit the CPU limit but
       // not the server's memory are each one counted step with no other
       // effect in the reference engine — they cannot select or improve, and
       // a symmetry skip inside the run costs the same one step (its equal
@@ -455,6 +591,15 @@ struct BudgetedSearch {
 
 }  // namespace
 
+void MinSlackOptions::validate() const {
+  if (!std::isfinite(epsilon_ghz) || epsilon_ghz < 0.0) {
+    throw std::invalid_argument("MinSlackOptions: epsilon_ghz must be finite and non-negative");
+  }
+  if (!std::isfinite(epsilon_escalation) || epsilon_escalation < 1.0) {
+    throw std::invalid_argument("MinSlackOptions: epsilon_escalation must be finite and >= 1");
+  }
+}
+
 BudgetedMinSlackResult minimum_slack_budgeted(const WorkingPlacement& placement, ServerId server,
                                               std::span<const VmId> candidates,
                                               std::span<const double> candidate_cost_j,
@@ -531,55 +676,21 @@ MinSlackResult minimum_slack(const WorkingPlacement& placement, ServerId server,
   // candidate list (it only changes after a selection), and relief probes
   // hundreds of receivers with one list — re-sorting per call used to
   // dominate the entry cost. The cached ordering is reused when the
-  // candidate span matches the previous call's; the O(n) mirror
-  // verification below makes the reuse safe unconditionally (a different
+  // candidate span matches the previous call's, and filtered when the span
+  // is a strict subset of it (PAC after each selection); the O(n) mirror
+  // verification makes either reuse safe unconditionally (a different
   // snapshot at a recycled address, or mutated demands, fail it and force
   // a rebuild), at a fraction of the sort's cost.
-  bool reuse = s.cached_snapshot == &snapshot && s.cached.size() == candidates.size() &&
-               std::equal(candidates.begin(), candidates.end(), s.cached.begin());
-  if (reuse) {
-    for (std::size_t i = 0; i < s.order.size(); ++i) {
-      const VmSnapshot& info = snapshot.vm(s.order[i]);
-      // vdc-lint: float-eq-ok cached demand/memory are verbatim copies of snapshot values, so bitwise inequality means the cache entry is stale
-      if (s.demand_of[i] != info.cpu_demand_ghz || s.memory_of[i] != info.memory_mb) {
-        reuse = false;
-        break;
-      }
+  const bool same_snapshot = s.cached_snapshot == &snapshot;
+  const bool same_span = same_snapshot && s.cached.size() == candidates.size() &&
+                         std::equal(candidates.begin(), candidates.end(), s.cached.begin());
+  if (!same_span || !mirrors_match(s, snapshot)) {
+    s.cached_snapshot = nullptr;  // the cache is inconsistent until rebuilt
+    if (!same_snapshot || candidates.size() >= s.cached.size() ||
+        !filter_cached_order(s, snapshot, candidates)) {
+      sort_order(s, snapshot, candidates);
     }
-  }
-  if (!reuse) {
-    s.order.assign(candidates.begin(), candidates.end());
-    std::sort(s.order.begin(), s.order.end(), [&](VmId a, VmId b) {
-      const double da = snapshot.vm(a).cpu_demand_ghz;
-      const double db = snapshot.vm(b).cpu_demand_ghz;
-      // vdc-lint: float-eq-ok exact tie-break in a deterministic sort comparator; a tolerance would break strict weak ordering
-      if (da != db) return da > db;
-      return a < b;
-    });
-    const std::size_t count = s.order.size();
-    s.demand_of.resize(count);
-    s.memory_of.resize(count);
-    s.suffix.resize(count + 1);
-    s.msuffix.resize(count + 1);
-    s.msuffix_min.resize(count + 1);
-    s.dupfree.resize(count + 1);
-    s.suffix[count] = 0.0;
-    s.msuffix[count] = 0.0;
-    s.msuffix_min[count] = std::numeric_limits<double>::infinity();
-    s.dupfree[count] = 1;
-    for (std::size_t i = count; i-- > 0;) {
-      const VmSnapshot& info = snapshot.vm(s.order[i]);
-      s.demand_of[i] = info.cpu_demand_ghz;
-      s.memory_of[i] = info.memory_mb;
-      s.suffix[i] = s.suffix[i + 1] + info.cpu_demand_ghz;
-      s.msuffix[i] = s.msuffix[i + 1] + info.memory_mb;
-      s.msuffix_min[i] = std::min(s.msuffix_min[i + 1], info.memory_mb);
-      s.dupfree[i] = s.dupfree[i + 1] &&
-                     // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                     (i + 1 >= count || s.demand_of[i] != s.demand_of[i + 1] ||
-                      // vdc-lint: float-eq-ok exact neighbor comparison detects duplicate (demand, memory) sort keys; equal keys are bitwise-identical copies
-                      s.memory_of[i] != s.memory_of[i + 1]);
-    }
+    build_suffixes(s);
     s.cached_snapshot = &snapshot;
     s.cached.assign(candidates.begin(), candidates.end());
   }

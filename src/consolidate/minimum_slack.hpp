@@ -26,6 +26,12 @@ struct MinSlackOptions {
   double epsilon_escalation = 2.0;
   /// Escalations before the search returns the best found so far.
   std::size_t max_escalations = 8;
+
+  /// Throws std::invalid_argument naming the field when `epsilon_ghz` is
+  /// NaN, infinite or negative (a NaN would skip every search, so callers
+  /// would silently plan no moves) or `epsilon_escalation` is not a finite
+  /// value of at least 1.
+  void validate() const;
 };
 
 struct MinSlackResult {

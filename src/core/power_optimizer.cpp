@@ -18,6 +18,7 @@ PowerOptimizer::PowerOptimizer(OptimizerConfig config,
     : config_(config),
       constraints_(consolidate::ConstraintSet::standard(config.utilization_target)),
       policy_(std::move(policy)) {
+  config_.ipac.min_slack.validate();
   if (!policy_) policy_ = std::make_shared<consolidate::FreeMigrationPolicy>();
 }
 

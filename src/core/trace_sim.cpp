@@ -24,6 +24,7 @@ TraceSimResult TraceDrivenSimulator::run(const TraceSimConfig& config) const {
   if (!(config.consolidation_period_s > 0.0)) {
     throw std::invalid_argument("TraceDrivenSimulator: consolidation period");
   }
+  config.ipac.min_slack.validate();
   util::Rng rng(config.seed);
 
   // ---- build the data center ---------------------------------------------

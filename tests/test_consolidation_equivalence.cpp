@@ -5,13 +5,17 @@
 // test_eventloop_equivalence for the event loop. The fast engine is
 // required to be *plan-exact*: for every seeded fleet, including ones where
 // the Minimum Slack step budget binds and epsilon escalates mid-search, the
-// two engines must produce move-for-move identical plans. Only reported step counts may differ
-// (armed branch-and-bound skips counted work), and only when the budget
-// provably cannot bind.
+// two engines must produce move-for-move identical plans. Two reported
+// fields may differ: step counts, when the budget provably cannot bind
+// (armed branch-and-bound skips counted work), and Minimum Slack's
+// `slack_ghz` in its last bits — the fast engine's all-fits tail collapse
+// skips the reference's add/subtract pairs on the running selected demand,
+// so the two sums can round differently while the selection is the same.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "consolidate/ipac.hpp"
@@ -127,6 +131,21 @@ TEST_P(ConsolidationEquivalence, IpacPlansIdenticalUnderDefaultBudget) {
   // budget and escalate epsilon mid-search. Plan exactness must hold anyway
   // — the fast engine replicates the reference's escalation ladder step for
   // step through its bulk-counted skips.
+  const IpacReport fast = ipac(snap, constraints);
+  const IpacReport ref = naive::ipac(snap, constraints);
+  expect_same_plan(fast.plan, ref.plan, seed);
+  EXPECT_EQ(fast.rounds_accepted, ref.rounds_accepted) << "seed " << seed;
+  EXPECT_EQ(fast.occupied_after, ref.occupied_after) << "seed " << seed;
+}
+
+TEST_P(ConsolidationEquivalence, IpacPlansIdenticalBelowFullUtilization) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const DataCenterSnapshot snap = random_fleet(100, 500, seed);
+  // Target 0.8 (the trace simulator's and PowerOptimizer's default): the
+  // CPU limit binds before the raw-capacity bound, so Minimum Slack's
+  // CPU-limit reject runs decide the plan. min_slack_steps is not compared:
+  // armed branch-and-bound legitimately skips counted steps.
+  const ConstraintSet constraints = ConstraintSet::standard(0.8);
   const IpacReport fast = ipac(snap, constraints);
   const IpacReport ref = naive::ipac(snap, constraints);
   expect_same_plan(fast.plan, ref.plan, seed);
@@ -268,6 +287,82 @@ TEST(ConsolidationEquivalence, MinimumSlackExactUnderBindingBudget) {
     EXPECT_EQ(fast.steps, ref.steps) << "seed " << seed;
     EXPECT_EQ(fast.escalations, ref.escalations) << "seed " << seed;
     EXPECT_DOUBLE_EQ(fast.slack_ghz, ref.slack_ghz) << "seed " << seed;
+  }
+}
+
+/// One 8 GHz server (optionally hosting one resident) and `count` unplaced
+/// candidates of 0.05-2.5 GHz: wide enough that CPU-limit reject runs
+/// cross step-budget thresholds at every utilization target below 1.
+DataCenterSnapshot reject_run_instance(std::uint64_t seed, std::size_t count) {
+  util::Rng rng(seed);
+  DataCenterSnapshot snap;
+  ServerSnapshot server;
+  server.id = 0;
+  server.max_capacity_ghz = 8.0;
+  server.memory_mb = 12000.0;
+  server.max_power_w = 200.0;
+  server.power_efficiency_ghz_per_w = 8.0 / 200.0;
+  server.active = true;
+  snap.servers.push_back(server);
+  for (std::size_t i = 0; i < count; ++i) {
+    VmSnapshot vm;
+    vm.id = static_cast<VmId>(i);
+    vm.cpu_demand_ghz = rng.uniform(0.05, 2.5);
+    vm.memory_mb = rng.uniform(100.0, 900.0);
+    snap.vms.push_back(vm);
+  }
+  if (seed % 2 == 0) {  // a resident shifts every CPU-limit threshold
+    VmSnapshot resident;
+    resident.id = static_cast<VmId>(count);
+    resident.cpu_demand_ghz = rng.uniform(0.3, 1.5);
+    resident.memory_mb = 500.0;
+    snap.vms.push_back(resident);
+    snap.servers[0].hosted.push_back(resident.id);
+  }
+  return snap;
+}
+
+// Minimum Slack head-to-head below full utilization: at targets 0.8 and
+// 0.65 the CPU-limit check rejects long runs of candidates that the raw
+// capacity bound admits, and the fast engine jumps each run in one binary
+// search. With 40 candidates branch-and-bound stays disarmed, so the jump
+// must land on every budget threshold exactly: same selection, same
+// counted steps, same escalations as the reference.
+TEST(ConsolidationEquivalence, MinimumSlackExactBelowFullUtilization) {
+  for (const double target : {0.8, 0.65}) {
+    for (const std::size_t budget : {std::size_t{7}, std::size_t{500}, std::size_t{20000}}) {
+      for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        const DataCenterSnapshot snap = reject_run_instance(seed, 40);
+        std::vector<VmId> candidates(40);
+        for (std::size_t i = 0; i < candidates.size(); ++i) {
+          candidates[i] = static_cast<VmId>(i);
+        }
+        const WorkingPlacement placement(snap);
+        const ConstraintSet constraints = ConstraintSet::standard(target);
+        MinSlackOptions options;
+        options.epsilon_ghz = 1e-6;  // practically unreachable: budget governs
+        options.step_budget = budget;
+        options.max_escalations = 6;
+        const MinSlackResult fast =
+            minimum_slack(placement, 0, candidates, constraints, options);
+        const MinSlackResult ref =
+            naive::minimum_slack(placement, 0, candidates, constraints, options);
+        const std::string where = "target " + std::to_string(target) + " budget " +
+                                  std::to_string(budget) + " seed " + std::to_string(seed);
+        EXPECT_EQ(fast.selected, ref.selected) << where;
+        EXPECT_EQ(fast.steps, ref.steps) << where;
+        EXPECT_EQ(fast.escalations, ref.escalations) << where;
+        // Not bitwise: the all-fits tail collapse skips the reference's
+        // 2^m - 1 - m add/subtract pairs on the running selected demand, so
+        // the two engines' slack sums can differ in the last bits while the
+        // selection is the same (target 0.8, budget 20000, seed 5 differs by
+        // 8.5e-12). Each counted step adds at most one pair; every operand
+        // stays below 16 GHz, whose half-ulp is 2^-50, so each engine drifts
+        // by at most steps * 2^-49 and the two by at most steps * 2^-48.
+        const double drift = 1e-12 + static_cast<double>(ref.steps) * 0x1p-48;
+        EXPECT_NEAR(fast.slack_ghz, ref.slack_ghz, drift) << where;
+      }
+    }
   }
 }
 

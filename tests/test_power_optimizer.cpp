@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace vdc::core {
@@ -38,6 +40,17 @@ TEST(PowerOptimizer, ToStringNames) {
   EXPECT_EQ(to_string(ConsolidationAlgorithm::kIpac), "IPAC");
   EXPECT_EQ(to_string(ConsolidationAlgorithm::kPMapper), "pMapper");
   EXPECT_EQ(to_string(ConsolidationAlgorithm::kNone), "none");
+}
+
+TEST(PowerOptimizer, RejectsInvalidMinSlackOptions) {
+  // A NaN epsilon would skip every Minimum Slack search: IPAC and overload
+  // relief would plan no moves without a word.
+  OptimizerConfig config = make_config(ConsolidationAlgorithm::kIpac);
+  config.ipac.min_slack.epsilon_ghz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PowerOptimizer{config}, std::invalid_argument);
+  config = make_config(ConsolidationAlgorithm::kIpac);
+  config.ipac.min_slack.epsilon_escalation = 0.5;
+  EXPECT_THROW(PowerOptimizer{config}, std::invalid_argument);
 }
 
 TEST(PowerOptimizer, IpacConsolidatesAndSleeps) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "trace/synthetic.hpp"
 
 namespace vdc::core {
@@ -35,6 +38,17 @@ TEST(TraceSim, ValidatesConfig) {
   EXPECT_THROW((void)sim.run(config), std::invalid_argument);
   config = small_config(ConsolidationAlgorithm::kIpac);
   config.consolidation_period_s = 0.0;
+  EXPECT_THROW((void)sim.run(config), std::invalid_argument);
+}
+
+TEST(TraceSim, RejectsInvalidMinSlackOptions) {
+  const trace::UtilizationTrace t = small_trace();
+  const TraceDrivenSimulator sim(t);
+  TraceSimConfig config = small_config(ConsolidationAlgorithm::kIpac);
+  config.ipac.min_slack.epsilon_ghz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)sim.run(config), std::invalid_argument);
+  config = small_config(ConsolidationAlgorithm::kIpac);
+  config.ipac.min_slack.epsilon_escalation = std::numeric_limits<double>::infinity();
   EXPECT_THROW((void)sim.run(config), std::invalid_argument);
 }
 
