@@ -24,25 +24,18 @@
 //     actuator fault on server 0 while app 0 surges. Exercises replica
 //     VM placement, per-server arbitration over replicas, and scale-in
 //     retirement end to end.
-//
-// Flags:
-//   --quick               shorter runs (CI smoke)
-//   --out PATH            where to write the JSON (default BENCH_actuators.json)
-//   --require-robust-slo  exit non-zero unless robust_horizontal re-attains
-//                         the SLA under chaos (soft CI gate: the claim the
-//                         robust layer exists to make)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "core/scenario.hpp"
 
 namespace {
 
 using namespace vdc;
 using namespace vdc::core;
+using cli::Json;
 
 constexpr double kSetpointS = 1.0;
 constexpr double kPeriodS = 4.0;
@@ -146,18 +139,11 @@ VariantMetrics analyze(const char* name, const ScenarioResult& result, double su
   return m;
 }
 
-void append_metrics_json(std::string& json, const VariantMetrics& m) {
-  char buf[400];
-  std::snprintf(buf, sizeof(buf),
-                "    \"%s\": {\"settled_p90_s\": %.4f, \"slo_ok\": %s, "
-                "\"reattain_s\": %.1f, \"mean_alloc_ghz\": %.3f, "
-                "\"peak_replicas\": %.0f, \"scale_outs\": %llu, \"scale_ins\": %llu, "
-                "\"stale_holds\": %zu}",
-                m.name.c_str(), m.settled_p90_s, m.slo_ok ? "true" : "false", m.reattain_s,
-                m.mean_alloc_ghz, m.peak_replicas,
-                static_cast<unsigned long long>(m.scale_outs),
-                static_cast<unsigned long long>(m.scale_ins), m.stale_holds);
-  json += buf;
+Json metrics_json(const VariantMetrics& m) {
+  return Json::object({{"settled_p90_s", m.settled_p90_s}, {"slo_ok", m.slo_ok},
+                       {"reattain_s", m.reattain_s}, {"mean_alloc_ghz", m.mean_alloc_ghz},
+                       {"peak_replicas", m.peak_replicas}, {"scale_outs", m.scale_outs},
+                       {"scale_ins", m.scale_ins}, {"stale_holds", m.stale_holds}});
 }
 
 void print_metrics(const VariantMetrics& m) {
@@ -173,18 +159,12 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool require_robust_slo = false;
   std::string out_path = "BENCH_actuators.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--require-robust-slo") == 0) {
-      require_robust_slo = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::Parser("ablation_actuators [options]")
+      .flag("--quick", quick, "shorter runs (CI smoke)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_actuators.json)")
+      .flag("--require-robust-slo", require_robust_slo,
+            "exit 1 unless robust_horizontal re-attains the SLA under chaos")
+      .parse(argc, argv);
 
   const double surge_s = quick ? 300.0 : 400.0;
   const double duration_s = quick ? 1100.0 : 1600.0;
@@ -270,41 +250,21 @@ int main(int argc, char** argv) {
   const bool dvfs_only_infeasible = !dvfs_only.slo_ok;
   const bool robust_reattains = robust_chaos.slo_ok && robust_chaos.reattain_s >= 0.0;
 
-  std::string json = "{\n  \"bench\": \"ablation_actuators\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  \"setpoint_s\": %.2f,\n  \"surge\": {\"time_s\": %.0f, \"from\": %zu, "
-                "\"to\": %zu},\n  \"model_r_squared\": %.4f,\n  \"variants\": {\n",
-                kSetpointS, surge_s, kBaseClients, kSurgeClients, identified.r_squared);
-  json += line;
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    append_metrics_json(json, metrics[i]);
-    json += ",\n";
-  }
-  append_metrics_json(json, tb_metrics);
-  json += "\n  },\n";
-  std::snprintf(line, sizeof(line),
-                "  \"testbed\": {\"migrations\": %zu, \"scale_outs\": %llu, "
-                "\"scale_ins\": %llu},\n",
-                tb_result.completed_migrations,
-                static_cast<unsigned long long>(tb_result.scale_outs),
-                static_cast<unsigned long long>(tb_result.scale_ins));
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"dvfs_only_infeasible\": %s,\n  \"robust_reattains_under_chaos\": %s\n}\n",
-                dvfs_only_infeasible ? "true" : "false",
-                robust_reattains ? "true" : "false");
-  json += line;
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  Json variants = Json::object();
+  for (const VariantMetrics& m : metrics) variants.set(m.name, metrics_json(m));
+  variants.set(tb_metrics.name, metrics_json(tb_metrics));
+  Json report = cli::bench_report("ablation_actuators", quick);
+  report.set("setpoint_s", kSetpointS)
+      .set("surge",
+           Json::object({{"time_s", surge_s}, {"from", kBaseClients}, {"to", kSurgeClients}}))
+      .set("model_r_squared", identified.r_squared)
+      .set("variants", variants)
+      .set("testbed", Json::object({{"migrations", tb_result.completed_migrations},
+                                    {"scale_outs", tb_result.scale_outs},
+                                    {"scale_ins", tb_result.scale_ins}}))
+      .set("dvfs_only_infeasible", dvfs_only_infeasible)
+      .set("robust_reattains_under_chaos", robust_reattains);
+  if (const int rc = cli::write_report(out_path, report); rc != 0) return rc;
 
   if (require_robust_slo && !robust_reattains) {
     std::fprintf(stderr,

@@ -21,20 +21,12 @@
 //  2. Scale (10k servers / 50k VMs, 2 pods x 50 racks x 100 servers): does
 //     the fast engine's incremental per-rack aggregate bookkeeping keep a
 //     rack-aware plan inside the optimizer's 300 s invocation period?
-//
-// Flags:
-//   --quick         shrink the scale fleet to 1k servers (CI smoke)
-//   --out PATH      where to write the JSON (default BENCH_topology.json)
-//   --require-win   exit non-zero unless the budgeted rack-aware planner's
-//                   net energy is strictly below the flat planner's (soft
-//                   CI gate; economics, not timing, so runner noise-free)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "consolidate/ipac.hpp"
 #include "util/rng.hpp"
 
@@ -42,6 +34,7 @@ namespace {
 
 using namespace vdc;
 using namespace vdc::consolidate;
+using cli::Json;
 
 constexpr double kBudgetS = 300.0;       ///< optimizer invocation period
 constexpr double kHorizonS = 300.0;      ///< placement expected to stand one period
@@ -269,17 +262,14 @@ EngineScore score(const char* name, const DataCenterSnapshot& snap, const IpacRe
   return s;
 }
 
-void append_score_json(std::string& json, const EngineScore& s) {
-  char buf[400];
-  std::snprintf(buf, sizeof(buf),
-                "    \"%s\": {\"net_energy_j\": %.1f, \"power_after_w\": %.1f, "
-                "\"migration_energy_j\": %.1f, \"moves\": %zu, \"racks_emptied\": %zu, "
-                "\"rack_switch_off_j\": %.1f, \"rounds_accepted\": %zu, "
-                "\"rounds_rejected_by_cost\": %zu, \"rounds_rejected_by_budget\": %zu}",
-                s.name.c_str(), s.net_energy_j, s.power_after_w, s.migration_energy_j,
-                s.moves, s.racks_emptied, s.rack_switch_off_j, s.rounds_accepted,
-                s.rejected_by_cost, s.rejected_by_budget);
-  json += buf;
+Json score_json(const EngineScore& s) {
+  return Json::object({{"net_energy_j", s.net_energy_j}, {"power_after_w", s.power_after_w},
+                       {"migration_energy_j", s.migration_energy_j}, {"moves", s.moves},
+                       {"racks_emptied", s.racks_emptied},
+                       {"rack_switch_off_j", s.rack_switch_off_j},
+                       {"rounds_accepted", s.rounds_accepted},
+                       {"rounds_rejected_by_cost", s.rejected_by_cost},
+                       {"rounds_rejected_by_budget", s.rejected_by_budget}});
 }
 
 }  // namespace
@@ -288,18 +278,13 @@ int main(int argc, char** argv) {
   bool quick = false;
   bool require_win = false;
   std::string out_path = "BENCH_topology.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--require-win") == 0) {
-      require_win = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::Parser("ablation_topology [options]")
+      .flag("--quick", quick, "shrink the scale fleet to 1k servers (CI smoke)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_topology.json)")
+      .flag("--require-win", require_win,
+            "exit 1 unless the budgeted rack-aware planner's net energy is below the flat "
+            "planner's")
+      .parse(argc, argv);
 
   const ConstraintSet constraints = ConstraintSet::standard(1.0);
 
@@ -359,41 +344,21 @@ int main(int argc, char** argv) {
   const bool budgeted_beats_flat = budgeted.net_energy_j < flat.net_energy_j;
   const bool within_budget = wall_s_per_plan <= kBudgetS;
 
-  std::string json = "{\n  \"bench\": \"ablation_topology\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "  \"fig6_fleet\": {\"pods\": 2, \"racks\": 8, \"servers\": %zu, \"vms\": %zu},\n"
-                "  \"horizon_s\": %.1f,\n  \"initial_power_w\": %.1f,\n  \"planners\": {\n",
-                fig.servers.size(), fig.vms.size(), kHorizonS, initial_w);
-  json += line;
-  append_score_json(json, flat);
-  json += ",\n";
-  append_score_json(json, aware);
-  json += ",\n";
-  append_score_json(json, budgeted);
-  json += "\n  },\n";
-  std::snprintf(line, sizeof(line),
-                "  \"budgeted_savings_vs_flat_j\": %.1f,\n"
-                "  \"budgeted_beats_flat\": %s,\n",
-                flat.net_energy_j - budgeted.net_energy_j,
-                budgeted_beats_flat ? "true" : "false");
-  json += line;
-  std::snprintf(line, sizeof(line),
-                "  \"scale\": {\"servers\": %zu, \"vms\": %zu, \"wall_s_per_plan\": %.6f, "
-                "\"budget_s\": %.1f, \"within_budget\": %s}\n}\n",
-                big.servers.size(), big.vms.size(), wall_s_per_plan, kBudgetS,
-                within_budget ? "true" : "false");
-  json += line;
-
-  if (FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
+  Json report = cli::bench_report("ablation_topology", quick);
+  report
+      .set("fig6_fleet", Json::object({{"pods", fig.pods.size()}, {"racks", fig.racks.size()},
+                                       {"servers", fig.servers.size()}, {"vms", fig.vms.size()}}))
+      .set("horizon_s", kHorizonS)
+      .set("initial_power_w", initial_w)
+      .set("planners", Json::object({{flat.name, score_json(flat)},
+                                     {aware.name, score_json(aware)},
+                                     {budgeted.name, score_json(budgeted)}}))
+      .set("budgeted_savings_vs_flat_j", flat.net_energy_j - budgeted.net_energy_j)
+      .set("budgeted_beats_flat", budgeted_beats_flat)
+      .set("scale", Json::object({{"servers", big.servers.size()}, {"vms", big.vms.size()},
+                                  {"wall_s_per_plan", wall_s_per_plan}, {"budget_s", kBudgetS},
+                                  {"within_budget", within_budget}}));
+  if (const int rc = cli::write_report(out_path, report); rc != 0) return rc;
 
   if (require_win && !budgeted_beats_flat) {
     std::fprintf(stderr,

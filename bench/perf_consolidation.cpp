@@ -15,26 +15,14 @@
 // The acceptance context: a 10k-server / 50k-VM pass must complete well
 // inside one consolidation period (the optimizer's default 300 s) — the
 // JSON records the measured wall time per plan against that budget.
-//
-// Flags:
-//   --quick            1k-server size only (both targets), fewer repetitions
-//                      (CI smoke)
-//   --full-naive       also run the naive engine at 10k servers (slow)
-//   --out PATH         where to write the JSON (default BENCH_consolidation.json)
-//   --min-speedup X    exit non-zero if fast/naive plans-per-second at 1k
-//                      servers and target 1.0 falls below X (CI gate; 0
-//                      disables)
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "check/check.hpp"
+#include "cli/cli.hpp"
 #include "consolidate/ipac.hpp"
 #include "oracles/consolidate/naive.hpp"
 #include "util/rng.hpp"
@@ -43,6 +31,7 @@ namespace {
 
 using namespace vdc;
 using namespace vdc::consolidate;
+using cli::Json;
 
 /// Consolidation period the fleet pass must fit inside (the optimizer's
 /// default invocation period in the two-level testbed).
@@ -122,15 +111,12 @@ RunResult run_engine(const DataCenterSnapshot& snap, const ConstraintSet& constr
   return out;
 }
 
-void append_run_json(std::string& json, const char* key, const RunResult& r) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "      \"%s\": {\"plans\": %zu, \"wall_s\": %.6f, \"plans_per_sec\": %.3f, "
-                "\"wall_s_per_plan\": %.6f, \"dfs_steps\": %zu, \"ns_per_dfs_step\": %.1f, "
-                "\"moves\": %zu, \"occupied_after\": %zu}",
-                key, r.plans, r.wall_s, r.plans_per_sec(), r.wall_s_per_plan(), r.steps,
-                r.ns_per_step(), r.moves, r.occupied_after);
-  json += buf;
+Json run_json(const RunResult& r) {
+  return Json::object({{"plans", r.plans}, {"wall_s", r.wall_s},
+                       {"plans_per_sec", r.plans_per_sec()},
+                       {"wall_s_per_plan", r.wall_s_per_plan()}, {"dfs_steps", r.steps},
+                       {"ns_per_dfs_step", r.ns_per_step()}, {"moves", r.moves},
+                       {"occupied_after", r.occupied_after}});
 }
 
 }  // namespace
@@ -140,20 +126,14 @@ int main(int argc, char** argv) {
   bool full_naive = false;
   std::string out_path = "BENCH_consolidation.json";
   double min_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--full-naive") == 0) {
-      full_naive = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::Parser("perf_consolidation [options]")
+      .flag("--quick", quick, "1k-server size only (both targets), fewer repetitions (CI smoke)")
+      .flag("--full-naive", full_naive, "also run the naive engine at 10k servers (slow)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_consolidation.json)")
+      .option("--min-speedup", min_speedup, "X",
+              "exit 1 if fast/naive plans/sec at 1k servers, target 1.0, is below X "
+              "(0 disables)")
+      .parse(argc, argv);
 
   struct Size {
     std::size_t servers;
@@ -173,26 +153,8 @@ int main(int argc, char** argv) {
   std::printf("%-18s %-8s %14s %16s %14s %10s\n", "fleet@target", "engine", "plans/sec",
               "wall_s/plan", "ns/DFS-step", "moves");
 
-  std::string json = "{\n  \"bench\": \"perf_consolidation\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  char line[96];
-  std::snprintf(line, sizeof(line), "  \"budget_s\": %.1f,\n", kBudgetS);
-  json += line;
-  {
-    char provenance[512];
-    std::snprintf(provenance, sizeof(provenance),
-                  "  \"provenance\": {\"compiler\": \"%s\", \"build_type\": \"%s\", "
-                  "\"cxx_flags\": \"%s\", \"vdc_checks\": %d, "
-                  "\"hardware_concurrency\": %u, \"seed\": %llu},\n",
-                  VDC_BENCH_COMPILER, VDC_BENCH_BUILD_TYPE, VDC_BENCH_CXX_FLAGS,
-                  VDC_CHECKS_ENABLED, std::thread::hardware_concurrency(),
-                  static_cast<unsigned long long>(kFleetSeed));
-    json += provenance;
-  }
-  json += "  \"sizes\": [\n";
-
+  Json runs = Json::array();
   double wall_at_largest = 0.0;
-  bool first = true;
   for (const Size size : sizes) {
     const DataCenterSnapshot snap = random_fleet(size.servers, size.vms, kFleetSeed);
     wall_at_largest = 0.0;
@@ -236,44 +198,24 @@ int main(int argc, char** argv) {
       if (run_naive) std::printf("%-18s %-8s %13.2fx\n", label, "speedup", speedup);
       if (size.servers == 1000) leg.speedup_at_1k = speedup;
 
-      if (!first) json += ",\n";
-      first = false;
-      char head[128];
-      std::snprintf(head, sizeof(head),
-                    "    {\"servers\": %zu, \"vms\": %zu, \"utilization_target\": %.2f,\n",
-                    size.servers, size.vms, target);
-      json += head;
-      append_run_json(json, "fast", fast);
-      json += ",\n";
-      if (run_naive) {
-        append_run_json(json, "naive", naive);
-        char tail[64];
-        std::snprintf(tail, sizeof(tail), ",\n      \"speedup\": %.2f}", speedup);
-        json += tail;
-      } else {
-        json += "      \"naive\": null}";
-      }
+      Json row = Json::object({{"servers", size.servers}, {"vms", size.vms},
+                               {"utilization_target", target}, {"fast", run_json(fast)}});
+      row.set("naive", run_naive ? run_json(naive) : Json());
+      if (run_naive) row.set("speedup", speedup);
+      runs.push(std::move(row));
     }
   }
-  json += "\n  ],\n";
   const double speedup_at_1k = legs[0].speedup_at_1k;
   const bool within_budget = wall_at_largest <= kBudgetS;
-  char tail[224];
-  std::snprintf(tail, sizeof(tail),
-                "  \"speedup_at_1k\": %.2f,\n  \"speedup_at_1k_target_0_8\": %.2f,\n"
-                "  \"wall_s_per_plan_at_largest\": %.6f,\n  \"within_budget\": %s\n}\n",
-                speedup_at_1k, legs[1].speedup_at_1k, wall_at_largest,
-                within_budget ? "true" : "false");
-  json += tail;
-
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  Json report = cli::bench_report("perf_consolidation", quick);
+  report.set("provenance", cli::provenance().set("seed", kFleetSeed))
+      .set("budget_s", kBudgetS)
+      .set("sizes", runs)
+      .set("speedup_at_1k", speedup_at_1k)
+      .set("speedup_at_1k_target_0_8", legs[1].speedup_at_1k)
+      .set("wall_s_per_plan_at_largest", wall_at_largest)
+      .set("within_budget", within_budget);
+  if (const int rc = cli::write_report(out_path, report); rc != 0) return rc;
 
   if (!within_budget) {
     std::fprintf(stderr, "REGRESSION: %.1f s per plan at the largest fleet exceeds the %.0f s "

@@ -7,27 +7,20 @@
 // (sim::naive::*), and reports throughput for each at 1k / 10k / 100k
 // resident jobs. Results are written as machine-readable JSON
 // (BENCH_eventloop.json) so CI can gate on regressions.
-//
-// Flags:
-//   --quick            smaller completion targets, skip the 100k size
-//                      (CI smoke mode)
-//   --full-naive       also run the naive engine at 100k jobs (minutes)
-//   --out PATH         where to write the JSON (default BENCH_eventloop.json)
-//   --min-speedup X    exit non-zero if optimized/naive events-per-second
-//                      at 10k jobs falls below X (CI gate; 0 disables)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "oracles/sim/naive.hpp"
 #include "sim/ps_queue.hpp"
 #include "sim/simulation.hpp"
 #include "util/rng.hpp"
 
 namespace {
+
+using vdc::cli::Json;
 
 struct RunResult {
   std::uint64_t events = 0;
@@ -78,15 +71,10 @@ RunResult run_closed_loop(std::size_t n_jobs, std::uint64_t target_completions) 
   return out;
 }
 
-void append_run_json(std::string& json, const char* key, const RunResult& r) {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "      \"%s\": {\"events\": %llu, \"completions\": %llu, \"wall_s\": %.6f, "
-                "\"events_per_sec\": %.1f, \"ns_per_event\": %.1f, \"requests_per_sec\": %.1f}",
-                key, static_cast<unsigned long long>(r.events),
-                static_cast<unsigned long long>(r.completions), r.wall_s, r.events_per_sec(),
-                r.ns_per_event(), r.requests_per_sec());
-  json += buf;
+Json run_json(const RunResult& r) {
+  return Json::object({{"events", r.events}, {"completions", r.completions}, {"wall_s", r.wall_s},
+                       {"events_per_sec", r.events_per_sec()}, {"ns_per_event", r.ns_per_event()},
+                       {"requests_per_sec", r.requests_per_sec()}});
 }
 
 }  // namespace
@@ -96,20 +84,13 @@ int main(int argc, char** argv) {
   bool full_naive = false;
   std::string out_path = "BENCH_eventloop.json";
   double min_speedup = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--full-naive") == 0) {
-      full_naive = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  vdc::cli::Parser("perf_eventloop [options]")
+      .flag("--quick", quick, "smaller completion targets, skip the 100k size (CI smoke)")
+      .flag("--full-naive", full_naive, "also run the naive engine at 100k jobs (minutes)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_eventloop.json)")
+      .option("--min-speedup", min_speedup, "X",
+              "exit 1 if optimized/naive events/sec at 10k jobs is below X (0 disables)")
+      .parse(argc, argv);
 
   std::vector<std::size_t> sizes = {1000, 10000, 100000};
   if (quick) sizes.pop_back();
@@ -118,12 +99,8 @@ int main(int argc, char** argv) {
   std::printf("%-8s %-10s %14s %12s %14s\n", "jobs", "engine", "events/sec", "ns/event",
               "requests/sec");
 
-  std::string json = "{\n  \"bench\": \"perf_eventloop\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  json += "  \"sizes\": [\n";
-
+  Json runs = Json::array();
   double speedup_at_10k = 0.0;
-  bool first = true;
   for (const std::size_t n : sizes) {
     // Enough completions to amortize warm-up but bounded so the naive
     // engine's O(n)-per-event sync stays tolerable at 10k jobs.
@@ -147,35 +124,15 @@ int main(int argc, char** argv) {
     if (run_naive) std::printf("%-8zu %-10s %13.2fx\n", n, "speedup", speedup);
     if (n == 10000) speedup_at_10k = speedup;
 
-    if (!first) json += ",\n";
-    first = false;
-    char head[64];
-    std::snprintf(head, sizeof(head), "    {\"jobs\": %zu,\n", n);
-    json += head;
-    append_run_json(json, "optimized", opt);
-    json += ",\n";
-    if (run_naive) {
-      append_run_json(json, "naive", naive);
-      char tail[64];
-      std::snprintf(tail, sizeof(tail), ",\n      \"speedup\": %.2f}", speedup);
-      json += tail;
-    } else {
-      json += "      \"naive\": null}";
-    }
+    Json row = Json::object({{"jobs", n}, {"optimized", run_json(opt)}});
+    row.set("naive", run_naive ? run_json(naive) : Json());
+    if (run_naive) row.set("speedup", speedup);
+    runs.push(std::move(row));
   }
-  json += "\n  ],\n";
-  char tail[64];
-  std::snprintf(tail, sizeof(tail), "  \"speedup_at_10k\": %.2f\n}\n", speedup_at_10k);
-  json += tail;
 
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  Json report = vdc::cli::bench_report("perf_eventloop", quick);
+  report.set("sizes", runs).set("speedup_at_10k", speedup_at_10k);
+  if (const int rc = vdc::cli::write_report(out_path, report); rc != 0) return rc;
 
   if (min_speedup > 0.0 && speedup_at_10k < min_speedup) {
     std::fprintf(stderr, "REGRESSION: speedup at 10k jobs %.2fx < required %.2fx\n",

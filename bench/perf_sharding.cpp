@@ -20,29 +20,17 @@
 //              low per-app concurrency, a few control periods): the gate is
 //              that the run completes and peak RSS stays under the bound,
 //              scaling knobs exposed for larger machines.
-//
-// Flags:
-//   --quick               identity preset only (CI smoke; soft perf gate)
-//   --out PATH            JSON path (default BENCH_sharding.json)
-//   --min-speedup X       exit non-zero if the best self-speedup falls
-//                         below X (0 disables; meaningless on 1 core)
-//   --fleet-apps N        fleet preset application count (default 50000)
-//   --fleet-servers N     fleet preset server count (default 100000)
-//   --fleet-duration S    fleet preset simulated seconds (default 12)
-//   --fleet-memory-gb X   fleet peak-RSS bound in GiB (default 32)
-//   --skip-fleet          omit the fleet preset
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "app/multi_tier_app.hpp"
+#include "cli/cli.hpp"
 #include "core/sysid_experiment.hpp"
 #include "core/testbed.hpp"
 #include "telemetry/export.hpp"
@@ -50,6 +38,7 @@
 namespace {
 
 using namespace vdc;
+using cli::Json;
 
 double peak_rss_gb() {
   struct rusage usage {};
@@ -119,39 +108,26 @@ int main(int argc, char** argv) {
   std::size_t fleet_servers = 100000;
   double fleet_duration_s = 12.0;
   double fleet_memory_gb = 32.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--skip-fleet") == 0) {
-      skip_fleet = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
-      min_speedup = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--fleet-apps") == 0 && i + 1 < argc) {
-      fleet_apps = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--fleet-servers") == 0 && i + 1 < argc) {
-      fleet_servers = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--fleet-duration") == 0 && i + 1 < argc) {
-      fleet_duration_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--fleet-memory-gb") == 0 && i + 1 < argc) {
-      fleet_memory_gb = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  cli::Parser("perf_sharding [options]")
+      .flag("--quick", quick, "identity preset only (CI smoke)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_sharding.json)")
+      .option("--min-speedup", min_speedup, "X",
+              "exit 1 if the best self-speedup is below X (0 disables; meaningless on 1 core)")
+      .option("--fleet-apps", fleet_apps, "N", "fleet preset application count (default 50000)")
+      .option("--fleet-servers", fleet_servers, "N",
+              "fleet preset server count (default 100000)")
+      .option("--fleet-duration", fleet_duration_s, "S",
+              "fleet preset simulated seconds (default 12)")
+      .option("--fleet-memory-gb", fleet_memory_gb, "X",
+              "fleet peak-RSS bound in GiB (default 32)")
+      .flag("--skip-fleet", skip_fleet, "omit the fleet preset")
+      .parse(argc, argv);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   std::printf("# perf_sharding: parallel shard advance vs the single-shard reference "
               "(hardware_concurrency=%u)\n", hw);
 
-  std::string json = "{\n  \"bench\": \"perf_sharding\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  char line[160];
-  std::snprintf(line, sizeof(line), "  \"hardware_concurrency\": %u,\n", hw);
-  json += line;
-
+  Json report = cli::bench_report("perf_sharding", quick);
   bool identity_ok = true;
 
   // ---- identity preset ------------------------------------------------------
@@ -164,9 +140,7 @@ int main(int argc, char** argv) {
     std::printf("%-10s shards=%-5d %10.3fs %12llu events %8zu migrations\n", "identity", 1,
                 reference.run_s, static_cast<unsigned long long>(reference.events),
                 reference.migrations);
-    json += "  \"identity\": {\"duration_s\": 400.0, \"shard_counts\": [2, 8], "
-            "\"matches\": [";
-    bool first = true;
+    Json matches = Json::array();
     for (const std::size_t shards : {std::size_t{2}, std::size_t{8}}) {
       core::TestbedConfig config = reference_config;
       config.shards = shards;
@@ -177,11 +151,11 @@ int main(int argc, char** argv) {
       std::printf("%-10s shards=%-5zu %10.3fs %12llu events   identical=%s\n", "identity",
                   shards, sharded.run_s, static_cast<unsigned long long>(sharded.events),
                   match ? "yes" : "NO");
-      if (!first) json += ", ";
-      first = false;
-      json += match ? "true" : "false";
+      matches.push(match);
     }
-    json += "]},\n";
+    report.set("identity", Json::object({{"duration_s", duration_s},
+                                         {"shard_counts", Json::array({2, 8})},
+                                         {"matches", matches}}));
   }
 
   // ---- self-speedup preset --------------------------------------------------
@@ -202,10 +176,8 @@ int main(int argc, char** argv) {
     thread_counts.erase(std::unique(thread_counts.begin(), thread_counts.end()),
                         thread_counts.end());
 
-    json += "  \"speedup\": {\"apps\": 64, \"servers\": 16, \"shards\": 8, "
-            "\"duration_s\": 120.0,\n    \"runs\": [";
+    Json runs = Json::array();
     double wall_at_1 = 0.0;
-    bool first = true;
     for (const std::size_t threads : thread_counts) {
       core::TestbedConfig config = spec;
       config.shard_threads = threads;
@@ -218,18 +190,13 @@ int main(int argc, char** argv) {
       std::printf("%-10s threads=%-4zu %10.3fs %12.0f events/s  self-speedup=%5.2fx  "
                   "identical=%s\n", "speedup", threads, run.run_s, run.events_per_sec(),
                   self_speedup, match ? "yes" : "NO");
-      if (!first) json += ", ";
-      first = false;
-      std::snprintf(line, sizeof(line),
-                    "{\"threads\": %zu, \"run_s\": %.3f, \"events_per_sec\": %.0f, "
-                    "\"self_speedup\": %.3f, \"identical\": %s}",
-                    threads, run.run_s, run.events_per_sec(), self_speedup,
-                    match ? "true" : "false");
-      json += line;
+      runs.push(Json::object({{"threads", threads}, {"run_s", run.run_s},
+                              {"events_per_sec", run.events_per_sec()},
+                              {"self_speedup", self_speedup}, {"identical", match}}));
     }
-    std::snprintf(line, sizeof(line), "],\n    \"best_self_speedup\": %.3f},\n",
-                  best_speedup);
-    json += line;
+    report.set("speedup", Json::object({{"apps", spec.num_apps}, {"servers", spec.num_servers},
+                                        {"shards", spec.shards}, {"duration_s", duration_s},
+                                        {"runs", runs}, {"best_self_speedup", best_speedup}}));
   }
 
   // ---- fleet preset ---------------------------------------------------------
@@ -246,35 +213,17 @@ int main(int argc, char** argv) {
                 "%llu events, peak RSS %.2f GiB (bound %.0f)\n", "fleet", fleet_servers,
                 vms, fleet.construct_s, fleet.run_s,
                 static_cast<unsigned long long>(fleet.events), rss_gb, fleet_memory_gb);
-    std::snprintf(line, sizeof(line),
-                  "  \"fleet\": {\"servers\": %zu, \"apps\": %zu, \"vms\": %zu, "
-                  "\"duration_s\": %.1f,\n", fleet_servers, fleet_apps, vms,
-                  fleet_duration_s);
-    json += line;
-    std::snprintf(line, sizeof(line),
-                  "    \"construct_s\": %.2f, \"run_s\": %.2f, \"events\": %llu, "
-                  "\"events_per_sec\": %.0f,\n", fleet.construct_s, fleet.run_s,
-                  static_cast<unsigned long long>(fleet.events), fleet.events_per_sec());
-    json += line;
-    std::snprintf(line, sizeof(line),
-                  "    \"peak_rss_gb\": %.2f, \"rss_bound_gb\": %.1f, "
-                  "\"within_memory_bound\": %s},\n", rss_gb, fleet_memory_gb,
-                  fleet_ok ? "true" : "false");
-    json += line;
+    report.set("fleet", Json::object({{"servers", fleet_servers}, {"apps", fleet_apps},
+                                      {"vms", vms}, {"duration_s", fleet_duration_s},
+                                      {"construct_s", fleet.construct_s}, {"run_s", fleet.run_s},
+                                      {"events", fleet.events},
+                                      {"events_per_sec", fleet.events_per_sec()},
+                                      {"peak_rss_gb", rss_gb}, {"rss_bound_gb", fleet_memory_gb},
+                                      {"within_memory_bound", fleet_ok}}));
   }
 
-  std::snprintf(line, sizeof(line), "  \"identity_ok\": %s\n}\n",
-                identity_ok ? "true" : "false");
-  json += line;
-
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  report.set("identity_ok", identity_ok);
+  if (const int rc = cli::write_report(out_path, report); rc != 0) return rc;
 
   if (!identity_ok) {
     std::fprintf(stderr, "REGRESSION: sharded telemetry diverged from the single-shard "

@@ -6,33 +6,24 @@
 // and 1-week horizons, a week-long fleet-scale stream across many metrics
 // with ops-style retention, and range-query latency per tier. Results are
 // written as machine-readable JSON (BENCH_telemetry.json) so CI can gate on
-// storage regressions; the JSON names the host (CPU model and hardware
-// threads) it was measured on.
-//
-// Flags:
-//   --quick                    smaller metric counts / shorter streams
-//                              (CI smoke mode)
-//   --out PATH                 where to write the JSON
-//                              (default BENCH_telemetry.json)
-//   --max-bytes-per-sample X   exit non-zero if the week-horizon storage
-//                              cost exceeds X bytes/sample (CI soft gate;
-//                              0 disables)
+// storage regressions; its provenance names the host (CPU model and
+// hardware threads) it was measured on.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/tsdb.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using vdc::cli::Json;
 using vdc::telemetry::Recorder;
 using vdc::telemetry::tsdb::MetricId;
 using vdc::telemetry::tsdb::Tier;
@@ -64,26 +55,6 @@ double vector_push_back_rate(std::size_t n) {
   const double rate = static_cast<double>(n) / seconds_since(t0);
   if (samples.size() != n) std::abort();  // keeps the loop observable
   return rate;
-}
-
-/// CPU model from /proc/cpuinfo ("unknown" elsewhere), for the JSON's host
-/// block: rates from different hosts are not comparable.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    const std::size_t start =
-        colon == std::string::npos ? colon : line.find_first_not_of(" \t", colon + 1);
-    if (start == std::string::npos) break;
-    std::string model = line.substr(start);
-    for (char& c : model) {
-      if (c == '"' || c == '\\') c = ' ';
-    }
-    return model;
-  }
-  return "unknown";
 }
 
 struct HorizonResult {
@@ -175,15 +146,11 @@ QueryLatency run_queries(const Tsdb& db, MetricId id, double horizon_s, std::siz
   return out;
 }
 
-void append_horizon_json(std::string& json, const char* name, const HorizonResult& h) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "    \"%s\": {\"metrics\": %zu, \"samples_per_metric\": %zu, "
-                "\"appends_per_sec\": %.0f, \"memory_bytes\": %zu, \"pages_live\": %zu, "
-                "\"bytes_per_sample\": %.2f, \"within_budget\": %s}",
-                name, h.metrics, h.samples_per_metric, h.appends_per_sec, h.memory_bytes,
-                h.pages_live, h.bytes_per_sample, h.within_budget ? "true" : "false");
-  json += buf;
+Json horizon_json(const HorizonResult& h) {
+  return Json::object({{"metrics", h.metrics}, {"samples_per_metric", h.samples_per_metric},
+                       {"appends_per_sec", h.appends_per_sec}, {"memory_bytes", h.memory_bytes},
+                       {"pages_live", h.pages_live}, {"bytes_per_sample", h.bytes_per_sample},
+                       {"within_budget", h.within_budget}});
 }
 
 }  // namespace
@@ -192,27 +159,19 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path = "BENCH_telemetry.json";
   double max_bytes_per_sample = 0.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--max-bytes-per-sample") == 0 && i + 1 < argc) {
-      max_bytes_per_sample = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
-    }
-  }
+  vdc::cli::Parser("perf_telemetry [options]")
+      .flag("--quick", quick, "smaller metric counts and shorter streams (CI smoke)")
+      .option("--out", out_path, "PATH", "JSON report path (default BENCH_telemetry.json)")
+      .option("--max-bytes-per-sample", max_bytes_per_sample, "X",
+              "exit 1 if the week-horizon storage cost exceeds X bytes/sample (0 disables)")
+      .parse(argc, argv);
 
   constexpr double kHourS = 3600.0;
   constexpr double kWeekS = 7.0 * 24.0 * 3600.0;
   constexpr double kControlPeriodS = 4.0;
 
-  const std::string host_cpu = cpu_model();
-  const unsigned host_threads = std::thread::hardware_concurrency();
   std::printf("# perf_telemetry: tiered tsdb store (host: %s, %u hardware threads)\n",
-              host_cpu.c_str(), host_threads);
+              vdc::cli::cpu_model().c_str(), std::thread::hardware_concurrency());
 
   // ---- append throughput through the Recorder front door -------------------
   const std::size_t n_appends = quick ? 200'000 : 2'000'000;
@@ -284,49 +243,23 @@ int main(int argc, char** argv) {
   std::printf("%-28s %14.2f\n", "tier-1 4000 s range", q.rollup_us);
   std::printf("%-28s %14.2f\n", "auto, range to horizon", q.auto_us);
 
-  // ---- JSON ----------------------------------------------------------------
-  std::string json = "{\n  \"bench\": \"perf_telemetry\",\n";
-  json += quick ? "  \"mode\": \"quick\",\n" : "  \"mode\": \"full\",\n";
-  json += "  \"host\": {\"cpu\": \"" + host_cpu +
-          "\", \"hardware_threads\": " + std::to_string(host_threads) + "},\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"append\": {\"tsdb_appends_per_sec\": %.0f, "
-                "\"vector_push_back_per_sec\": %.0f, \"tsdb_vs_vector\": %.3f},\n",
-                tsdb_rate, vector_rate, tsdb_rate / vector_rate);
-  json += buf;
-  json += "  \"horizons\": {\n";
-  append_horizon_json(json, "1h", hour);
-  json += ",\n";
-  append_horizon_json(json, "1week", week);
-  json += ",\n";
-  append_horizon_json(json, "fleet_week", fleet);
-  json += "\n  },\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"queries_us\": {\"raw\": %.2f, \"rollup\": %.2f, \"auto\": %.2f},\n",
-                q.raw_us, q.rollup_us, q.auto_us);
-  json += buf;
-  std::snprintf(buf, sizeof(buf), "  \"week_bytes_per_sample\": %.2f\n}\n",
-                week.bytes_per_sample > fleet.bytes_per_sample ? week.bytes_per_sample
-                                                               : fleet.bytes_per_sample);
-  json += buf;
-
-  if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("# wrote %s\n", out_path.c_str());
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 2;
-  }
+  const double worst_bytes_per_sample = std::max(week.bytes_per_sample, fleet.bytes_per_sample);
+  Json report = vdc::cli::bench_report("perf_telemetry", quick);
+  report
+      .set("append", Json::object({{"tsdb_appends_per_sec", tsdb_rate},
+                                   {"vector_push_back_per_sec", vector_rate},
+                                   {"tsdb_vs_vector", tsdb_rate / vector_rate}}))
+      .set("horizons", Json::object({{"1h", horizon_json(hour)}, {"1week", horizon_json(week)},
+                                     {"fleet_week", horizon_json(fleet)}}))
+      .set("queries_us",
+           Json::object({{"raw", q.raw_us}, {"rollup", q.rollup_us}, {"auto", q.auto_us}}))
+      .set("week_bytes_per_sample", worst_bytes_per_sample);
+  if (const int rc = vdc::cli::write_report(out_path, report); rc != 0) return rc;
 
   if (!hour.within_budget || !week.within_budget || !fleet.within_budget) {
     std::fprintf(stderr, "REGRESSION: storage model exceeded the configured page budget\n");
     return 1;
   }
-  const double worst_bytes_per_sample = week.bytes_per_sample > fleet.bytes_per_sample
-                                            ? week.bytes_per_sample
-                                            : fleet.bytes_per_sample;
   if (max_bytes_per_sample > 0.0 && worst_bytes_per_sample > max_bytes_per_sample) {
     std::fprintf(stderr, "REGRESSION: %.2f bytes/sample at the week horizon > allowed %.2f\n",
                  worst_bytes_per_sample, max_bytes_per_sample);

@@ -1,6 +1,7 @@
 #include "core/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -131,8 +132,9 @@ ScenarioResult run_testbed(const ScenarioSpec& spec) {
 }  // namespace
 
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) const {
-  if (spec.duration_s <= 0.0) {
-    throw std::invalid_argument("ScenarioRunner: duration must be > 0");
+  if (!std::isfinite(spec.duration_s) || spec.duration_s <= 0.0) {
+    throw std::invalid_argument(
+        "ScenarioRunner: ScenarioSpec::duration_s must be finite and > 0");
   }
   switch (spec.engine) {
     case ScenarioSpec::Engine::kAppStack:

@@ -1,6 +1,7 @@
 #include "sim/sharded_engine.hpp"
 
 #include <optional>
+#include <stdexcept>
 
 #include "util/thread_pool.hpp"
 
@@ -18,6 +19,10 @@ void ShardedEngine::advance_shards(double t) {
 }
 
 void ShardedEngine::run_until(double t) {
+  // Negated so a NaN time, which compares false both ways, is rejected too.
+  if (!(t >= now())) {
+    throw std::invalid_argument("ShardedEngine::run_until: time is in the past or NaN");
+  }
   for (;;) {
     const std::optional<double> next = spine_.next_event_time();
     if (!next || *next > t) break;

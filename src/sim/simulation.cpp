@@ -60,7 +60,10 @@ bool Simulation::step() {
 }
 
 std::size_t Simulation::drain_until(double t) {
-  if (t < now_) throw std::invalid_argument("Simulation::drain_until: time is in the past");
+  // Negated so a NaN time, which compares false both ways, is rejected too.
+  if (!(t >= now_)) {
+    throw std::invalid_argument("Simulation::drain_until: time is in the past or NaN");
+  }
   std::size_t executed = 0;
   while (!heap_.empty()) {
     // Skim stale entries off the top so the peeked time is live.

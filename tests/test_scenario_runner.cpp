@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,20 @@ TEST(ScenarioRunner, RecordsOneSamplePerControlPeriod) {
   EXPECT_EQ(run.response_series(0).size(), 40u);  // 160 s / 4 s
   EXPECT_EQ(run.allocation_series(0).size(), 40u);
   EXPECT_EQ(run.allocation_series(0)[0].size(), 2u);
+}
+
+TEST(ScenarioRunner, NonFiniteDurationIsRejectedNamingTheField) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 0.0, -1.0}) {
+    ScenarioSpec spec = static_spec("bad", 1, 1.0);
+    spec.duration_s = bad;
+    try {
+      (void)ScenarioRunner().run(spec);
+      ADD_FAILURE() << "duration_s = " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("duration_s"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(ScenarioRunner, ParallelMatchesSerialBitExactly) {

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -84,6 +85,20 @@ TEST(ShardedEngine, SpineEventsChainAcrossBarriers) {
   EXPECT_EQ(ticks, 3);
   EXPECT_EQ(shard_times.size(), 9u);
   EXPECT_EQ(engine.barriers(), 3u);
+}
+
+TEST(ShardedEngine, NanOrPastEndTimeIsRejectedNotLooped) {
+  // The spine tick reschedules itself forever, so a NaN end time (which
+  // compares false against every event time) would never reach a barrier
+  // past it.
+  sim::ShardedEngine engine(2, 1);
+  std::function<void()> tick = [&] { engine.spine().schedule_after(1.0, tick); };
+  engine.spine().schedule(1.0, tick);
+  EXPECT_THROW(engine.run_until(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(engine.events_executed(), 0u);
+  engine.run_until(2.0);
+  EXPECT_THROW(engine.run_until(1.0), std::invalid_argument);
 }
 
 TEST(ShardedEngine, CountersAggregateAcrossLoops) {

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <vector>
 
 namespace vdc::sim {
@@ -68,6 +69,18 @@ TEST(Simulation, RunUntilStopsAtBoundary) {
   EXPECT_EQ(fired.size(), 3u);
   EXPECT_DOUBLE_EQ(sim.now(), 10.0);
   EXPECT_THROW(sim.run_until(5.0), std::invalid_argument);
+}
+
+TEST(Simulation, NanEndTimeIsRejectedNotLooped) {
+  // A self-rescheduling event never drains, so accepting NaN (which compares
+  // false against every event time) would loop forever.
+  Simulation sim;
+  std::function<void()> tick = [&] { sim.schedule_after(1.0, tick); };
+  sim.schedule(1.0, tick);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.drain_until(nan), std::invalid_argument);
+  EXPECT_THROW(sim.run_until(nan), std::invalid_argument);
+  EXPECT_EQ(sim.events_executed(), 0u);
 }
 
 TEST(Simulation, EventsCanScheduleMoreEvents) {

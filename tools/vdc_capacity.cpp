@@ -1,38 +1,16 @@
 // vdc_capacity — analytic capacity planning for a multi-tier application.
 //
-//   vdc_capacity --demands D1,D2[,...] --alloc C1,C2[,...]
-//                [--clients N] [--think Z] [--target R]
-//
 // Demands are per-tier mean CPU costs in Gcycles/request; allocations in
 // GHz. Uses exact MVA on the closed PS network (the same model the DES
 // testbed realizes) to report throughput, response time, per-tier
 // utilization — and, with --target, the uniform capacity scale needed to
 // reach a response-time goal.
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "app/queueing.hpp"
-
-namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: vdc_capacity --demands D1,D2[,...] --alloc C1,C2[,...]\n"
-               "                    [--clients N] [--think Z_s] [--target R_s]\n");
-  return 2;
-}
-
-std::vector<double> parse_list(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) out.push_back(std::stod(cell));
-  return out;
-}
-
-}  // namespace
+#include "cli/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace vdc::app;
@@ -42,30 +20,23 @@ int main(int argc, char** argv) {
   std::size_t clients = 40;
   double think_s = 1.0;
   double target_s = 0.0;
-
-  for (int i = 1; i + 1 < argc; i += 2) {
-    const std::string flag = argv[i];
-    const std::string value = argv[i + 1];
-    try {
-      if (flag == "--demands") {
-        demands_gcycles = parse_list(value);
-      } else if (flag == "--alloc") {
-        allocations_ghz = parse_list(value);
-      } else if (flag == "--clients") {
-        clients = std::stoul(value);
-      } else if (flag == "--think") {
-        think_s = std::stod(value);
-      } else if (flag == "--target") {
-        target_s = std::stod(value);
-      } else {
-        return usage();
-      }
-    } catch (...) {
-      return usage();
-    }
+  vdc::cli::Parser parser("vdc_capacity --demands D1,D2[,...] --alloc C1,C2[,...] [options]");
+  parser
+      .option("--demands", demands_gcycles, "D1,D2,...",
+              "per-tier mean CPU cost, Gcycles/request (required)")
+      .option("--alloc", allocations_ghz, "C1,C2,...", "per-tier CPU allocation, GHz (required)")
+      .option("--clients", clients, "N", "closed-loop client population (default 40)")
+      .option("--think", think_s, "Z_s", "mean think time, seconds (default 1)")
+      .option("--target", target_s, "R_s",
+              "response-time goal: report the capacity scale reaching it")
+      .parse(argc, argv);
+  if (demands_gcycles.empty()) parser.fail("--demands: missing (required)");
+  if (allocations_ghz.size() != demands_gcycles.size()) {
+    parser.fail("--alloc: needs one value per --demands entry");
   }
-  if (demands_gcycles.empty() || demands_gcycles.size() != allocations_ghz.size()) {
-    return usage();
+  // A zero allocation makes the tier's service demand infinite.
+  for (const double c : allocations_ghz) {
+    if (c <= 0.0) parser.fail("--alloc: every allocation must be > 0");
   }
 
   try {

@@ -1,101 +1,54 @@
 // vdc_dcsim — run a trace-driven data-center power simulation from the
 // command line (the Section VI-B environment as a tool).
 //
-//   vdc_dcsim [--vms N] [--algorithm ipac|pmapper|none] [--no-dvfs]
-//             [--period-hours H] [--guard] [--trace file.csv]
-//             [--pool N] [--seed S] [--target U] [--power-csv out.csv]
-//
 // Without --trace a synthetic trace is generated (seeded, reproducible).
 // Prints the energy/migration/SLA summary; --power-csv dumps the cluster
 // power series for plotting.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
+#include "cli/cli.hpp"
 #include "core/trace_sim.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
 #include "util/csv.hpp"
 
-namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: vdc_dcsim [--vms N] [--algorithm ipac|pmapper|none] [--no-dvfs]\n"
-               "                 [--period-hours H] [--guard] [--trace file.csv]\n"
-               "                 [--pool N] [--seed S] [--target U] [--power-csv out]\n"
-               "                 [--forecast none|recent|diurnal]\n");
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace vdc;
+  using core::ConsolidationAlgorithm;
+  using Forecast = core::TraceSimConfig::Forecast;
 
   core::TraceSimConfig config;
   config.num_vms = 500;
   std::string trace_path;
   std::string power_csv;
-  bool dvfs_explicit = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    try {
-      if (flag == "--vms") {
-        config.num_vms = std::stoul(next());
-      } else if (flag == "--algorithm") {
-        const std::string name = next();
-        if (name == "ipac") {
-          config.algorithm = core::ConsolidationAlgorithm::kIpac;
-        } else if (name == "pmapper") {
-          config.algorithm = core::ConsolidationAlgorithm::kPMapper;
-        } else if (name == "none") {
-          config.algorithm = core::ConsolidationAlgorithm::kNone;
-        } else {
-          return usage();
-        }
-      } else if (flag == "--no-dvfs") {
-        config.dvfs = false;
-        dvfs_explicit = true;
-      } else if (flag == "--period-hours") {
-        config.consolidation_period_s = std::stod(next()) * 3600.0;
-      } else if (flag == "--guard") {
-        config.on_demand_overload_guard = true;
-      } else if (flag == "--forecast") {
-        const std::string mode = next();
-        if (mode == "recent") {
-          config.forecast = core::TraceSimConfig::Forecast::kRecentPeak;
-        } else if (mode == "diurnal") {
-          config.forecast = core::TraceSimConfig::Forecast::kDiurnalPeak;
-        } else if (mode == "none") {
-          config.forecast = core::TraceSimConfig::Forecast::kNone;
-        } else {
-          return usage();
-        }
-      } else if (flag == "--trace") {
-        trace_path = next();
-      } else if (flag == "--pool") {
-        config.pool_size = std::stoul(next());
-      } else if (flag == "--seed") {
-        config.seed = std::stoul(next());
-      } else if (flag == "--target") {
-        config.utilization_target = std::stod(next());
-      } else if (flag == "--power-csv") {
-        power_csv = next();
-      } else {
-        return usage();
-      }
-    } catch (...) {
-      return usage();
-    }
-  }
-  (void)dvfs_explicit;
+  bool no_dvfs = false;
+  double period_hours = config.consolidation_period_s / 3600.0;
+  cli::Parser("vdc_dcsim [options]")
+      .option("--vms", config.num_vms, "N", "VMs to simulate (default 500)")
+      .choice("--algorithm", config.algorithm,
+              {{"ipac", ConsolidationAlgorithm::kIpac},
+               {"pmapper", ConsolidationAlgorithm::kPMapper},
+               {"none", ConsolidationAlgorithm::kNone}},
+              "consolidation algorithm (default ipac)")
+      .flag("--no-dvfs", no_dvfs, "disable DVFS: servers run at full frequency")
+      .option("--period-hours", period_hours, "H", "consolidation period, hours (default 4)")
+      .flag("--guard", config.on_demand_overload_guard, "enable the on-demand overload guard")
+      .choice("--forecast", config.forecast,
+              {{"none", Forecast::kNone},
+               {"recent", Forecast::kRecentPeak},
+               {"diurnal", Forecast::kDiurnalPeak}},
+              "demand forecast the optimizer packs against (default none)")
+      .option("--trace", trace_path, "FILE", "utilization trace CSV (default: synthetic)")
+      .option("--pool", config.pool_size, "N", "server pool size (default 3000)")
+      .option("--seed", config.seed, "S", "simulator seed (default 42)")
+      .option("--target", config.utilization_target, "U",
+              "per-server utilization target (default 0.8)")
+      .option("--power-csv", power_csv, "FILE", "write the cluster power series here")
+      .parse(argc, argv);
+  if (no_dvfs) config.dvfs = false;
+  config.consolidation_period_s = period_hours * 3600.0;
 
   try {
     trace::UtilizationTrace trace = [&] {

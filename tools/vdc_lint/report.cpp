@@ -4,28 +4,9 @@
 #include <ostream>
 #include <tuple>
 
+#include "cli/cli.hpp"
+
 namespace vdc::lint {
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void sort_findings(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
@@ -56,20 +37,15 @@ void write_text(std::ostream& os, const std::vector<Finding>& findings,
 
 void write_json(std::ostream& os, const std::vector<Finding>& findings,
                 std::size_t files_scanned) {
-  os << "{\n  \"files_scanned\": " << files_scanned
-     << ",\n  \"unsuppressed\": " << unsuppressed_count(findings) << ",\n  \"findings\": [";
-  bool first = true;
+  cli::Json items = cli::Json::array();
   for (const Finding& f : findings) {
-    os << (first ? "\n" : ",\n") << "    {\"file\": \"";
-    json_escape(os, f.file);
-    os << "\", \"line\": " << f.line << ", \"col\": " << f.col << ", \"rule\": \"";
-    json_escape(os, f.rule);
-    os << "\", \"suppressed\": " << (f.suppressed ? "true" : "false") << ", \"message\": \"";
-    json_escape(os, f.message);
-    os << "\"}";
-    first = false;
+    items.push(cli::Json::object({{"file", f.file}, {"line", f.line}, {"col", f.col},
+                                  {"rule", f.rule}, {"suppressed", f.suppressed},
+                                  {"message", f.message}}));
   }
-  os << (first ? "]" : "\n  ]") << "\n}\n";
+  os << cli::Json::object({{"files_scanned", files_scanned},
+                           {"unsuppressed", unsuppressed_count(findings)}, {"findings", items}})
+            .dump();
 }
 
 }  // namespace vdc::lint

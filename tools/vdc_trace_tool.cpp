@@ -1,94 +1,61 @@
 // vdc_trace_tool — generate and inspect utilization traces.
 //
-//   vdc_trace_tool generate [--servers N] [--samples N] [--seed S] [--out f.csv]
-//   vdc_trace_tool profile  --in f.csv [--period-s 900]
-//
 // `generate` writes a synthetic trace in the CSV format the simulator
 // imports (see src/trace/trace_io.hpp); `profile` prints the statistical
 // fingerprint (mean, diurnality, per-sector summaries) of any trace, so
 // users can compare their real traces against the synthetic stand-in.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
+#include "cli/cli.hpp"
 #include "trace/analysis.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace_io.hpp"
 
-namespace {
-
-int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  vdc_trace_tool generate [--servers N] [--samples N] [--seed S]"
-               " [--out file.csv]\n"
-               "  vdc_trace_tool profile --in file.csv [--period-s 900]\n");
-  return 2;
-}
-
-bool parse_size(const char* text, std::size_t& out) {
-  try {
-    out = std::stoul(text);
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace vdc;
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
+  const std::string command = argc >= 2 ? argv[1] : "";
+
+  trace::SyntheticTraceOptions options;
+  std::string out_path;
+  cli::Parser generate("vdc_trace_tool generate [options]");
+  generate.option("--servers", options.servers, "N", "series (servers) to generate")
+      .option("--samples", options.samples, "N", "samples per series")
+      .option("--seed", options.seed, "S", "generator seed")
+      .option("--out", out_path, "FILE", "write the CSV here (default: stdout)");
+
+  std::string in_path;
+  double period_s = trace::kPaperSamplePeriodS;
+  cli::Parser profile("vdc_trace_tool profile --in FILE [options]");
+  profile.option("--in", in_path, "FILE", "trace CSV to profile (required)")
+      .option("--period-s", period_s, "S", "trace sample period, seconds (default 900)");
 
   if (command == "generate") {
-    trace::SyntheticTraceOptions options;
-    std::string out_path;
-    for (int i = 2; i + 1 < argc; i += 2) {
-      const std::string flag = argv[i];
-      const char* value = argv[i + 1];
-      if (flag == "--servers") {
-        if (!parse_size(value, options.servers)) return usage();
-      } else if (flag == "--samples") {
-        if (!parse_size(value, options.samples)) return usage();
-      } else if (flag == "--seed") {
-        std::size_t seed = 0;
-        if (!parse_size(value, seed)) return usage();
-        options.seed = seed;
-      } else if (flag == "--out") {
-        out_path = value;
+    generate.parse(argc, argv, 2);
+    try {
+      const trace::UtilizationTrace trace = trace::generate_synthetic_trace(options);
+      if (out_path.empty()) {
+        trace::write_trace_csv(std::cout, trace);
       } else {
-        return usage();
+        trace::write_trace_csv_file(out_path, trace);
+        std::fprintf(stderr, "wrote %zu servers x %zu samples to %s\n",
+                     trace.server_count(), trace.sample_count(), out_path.c_str());
       }
-    }
-    const trace::UtilizationTrace trace = trace::generate_synthetic_trace(options);
-    if (out_path.empty()) {
-      trace::write_trace_csv(std::cout, trace);
-    } else {
-      trace::write_trace_csv_file(out_path, trace);
-      std::fprintf(stderr, "wrote %zu servers x %zu samples to %s\n",
-                   trace.server_count(), trace.sample_count(), out_path.c_str());
+    } catch (const std::invalid_argument& e) {  // options the generator rejects
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    } catch (const std::exception& e) {  // the output file
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
     }
     return 0;
   }
 
   if (command == "profile") {
-    std::string in_path;
-    double period_s = trace::kPaperSamplePeriodS;
-    for (int i = 2; i + 1 < argc; i += 2) {
-      const std::string flag = argv[i];
-      const char* value = argv[i + 1];
-      if (flag == "--in") {
-        in_path = value;
-      } else if (flag == "--period-s") {
-        period_s = std::stod(value);
-      } else {
-        return usage();
-      }
-    }
-    if (in_path.empty()) return usage();
+    profile.parse(argc, argv, 2);
+    if (in_path.empty()) profile.fail("--in: missing (required)");
     try {
       const trace::UtilizationTrace trace = trace::read_trace_csv_file(in_path, period_s);
       std::printf("%zu servers x %zu samples (%.0f s period, %.1f days)\n",
@@ -102,5 +69,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  return usage();
+  std::fprintf(stderr, "error: expected a command, generate or profile\n%s%s",
+               generate.usage().c_str(), profile.usage().c_str());
+  return 2;
 }
