@@ -78,7 +78,7 @@ std::size_t budget_bytes_per_metric(const TsdbConfig& c, double sample_period_s)
   return pages * page_bytes +
          (c.tier1_retention_points + c.tier2_retention_points + 2) *
              sizeof(vdc::telemetry::tsdb::RollupPoint) +
-         acc_samples * 40;
+         acc_samples * sizeof(double);
 }
 
 /// Streams `samples_per_metric` samples at `period_s` into `metrics`

@@ -49,8 +49,8 @@ class ResponseTimeMonitor {
   explicit ResponseTimeMonitor(double q = 0.9, SlaMetric metric = SlaMetric::kQuantile);
 
   /// Records one completed request's response time (seconds). NaN samples
-  /// are rejected with an exception — they would corrupt the incremental
-  /// order-statistic index the percentile path is built on.
+  /// are rejected with an exception — they have no rank, so the period's
+  /// percentile would be meaningless.
   void record(double response_time_s);
 
   /// Records that a sample existed but was lost before reaching the monitor
@@ -79,13 +79,12 @@ class ResponseTimeMonitor {
  private:
   double q_;
   SlaMetric metric_;
-  // Per-period statistics are maintained incrementally by the shared
-  // util::WindowStats accumulator (Welford moments + an order-statistic
-  // index), so harvest() reads the period's quantile in O(log n) instead of
-  // copying and sorting every sample. The values are identical to the
-  // historical copy+sort (same Welford add order, same type-7 interpolation
-  // over the same order statistics) — and bit-identical to the telemetry
-  // tsdb's tier rollups, which run the same accumulator.
+  // Per-period statistics come from the shared util::WindowStats
+  // accumulator: Welford moments per sample, and the period's quantile
+  // selected in O(n) from its sample buffer at harvest(). The values are
+  // identical to a copy+sort (same Welford add order, same type-7
+  // interpolation over the same order statistics) — and bit-identical to
+  // the telemetry tsdb's tier rollups, which run the same accumulator.
   util::WindowStats period_;
   std::vector<double> lifetime_samples_;
   std::size_t period_dropped_ = 0;

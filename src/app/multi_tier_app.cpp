@@ -100,6 +100,16 @@ MultiTierApp::MultiTierApp(sim::Simulation& sim, AppConfig config)
       rng_(config_.seed),
       dispatch_rng_(config_.seed ^ kDispatchStream) {
   validate_config(config_);
+  demand_.reserve(config_.tiers.size());
+  for (const TierConfig& tc : config_.tiers) {
+    // Bounded Pareto spanning [mean/4, mean*12]: heavy-tailed but with
+    // finite variance; each draw is rescaled by the analytic mean.
+    const double lo = tc.mean_demand_gcycles / 4.0;
+    const double hi = tc.mean_demand_gcycles * 12.0;
+    demand_.push_back(TierDemand{util::BoundedPareto(tc.pareto_alpha, lo, hi),
+                                 tc.mean_demand_gcycles,
+                                 bounded_pareto_mean(tc.pareto_alpha, lo, hi)});
+  }
   tiers_.resize(config_.tiers.size());
   tier_resident_.assign(config_.tiers.size(), 0);
   for (std::size_t j = 0; j < config_.tiers.size(); ++j) {
@@ -399,37 +409,49 @@ void MultiTierApp::audit_tier([[maybe_unused]] std::size_t tier) const {
 std::size_t MultiTierApp::pick_replica(std::size_t tier) {
   // Least outstanding jobs over serving replicas; the seeded tie-break
   // stream makes routing deterministic. With one serving replica the RNG is
-  // never consulted (single-replica bit-identity).
+  // never consulted (single-replica bit-identity). Two passes over the
+  // slots count the tie, then find the drawn member, without a scratch list.
   const std::vector<Replica>& replicas = tiers_[tier].replicas;
   std::size_t fewest = std::numeric_limits<std::size_t>::max();
-  std::vector<std::size_t> tied;
+  std::size_t tied = 0;
+  std::size_t first = replicas.size();
   for (std::size_t r = 0; r < replicas.size(); ++r) {
     if (replicas[r].state != Replica::State::kServing) continue;
     const std::size_t outstanding = replicas[r].jobs.size();
     if (outstanding < fewest) {
       fewest = outstanding;
-      tied.assign(1, r);
+      tied = 1;
+      first = r;
     } else if (outstanding == fewest) {
-      tied.push_back(r);
+      ++tied;
     }
   }
-  if (tied.empty()) {
+  if (tied == 0) {
     // Unreachable by construction: scale_in never removes the last
     // committed replica and draining keeps residue flowing.
     throw std::logic_error("MultiTierApp: no serving replica in tier");
   }
-  if (tied.size() == 1) return tied.front();
-  return tied[dispatch_rng_.index(tied.size())];
+  if (tied == 1) return first;
+  std::size_t pick = dispatch_rng_.index(tied);
+  for (std::size_t r = first;; ++r) {
+    if (replicas[r].state != Replica::State::kServing || replicas[r].jobs.size() != fewest) {
+      continue;
+    }
+    if (pick-- == 0) return r;
+  }
 }
 
-void MultiTierApp::route_to_tier(Request& req, std::size_t tier) {
+void MultiTierApp::route_to_tier(std::size_t request, std::size_t tier) {
   const std::size_t slot = pick_replica(tier);
   Replica& rep = tiers_[tier].replicas[slot];
   audit::dispatch_target_serving(rep.state == Replica::State::kServing, tier, slot);
+  Request& req = requests_[request];
   req.current_tier = tier;
   req.current_replica = slot;
+  // add_job may deliver completions that take or free request slots: `req`
+  // is not used past this call.
   const sim::JobId job = rep.queue->add_job(req.demands[tier]);
-  rep.jobs.emplace(job, req.id);
+  rep.jobs.emplace(job, request);
   ++tier_resident_[tier];
 }
 
@@ -452,57 +474,54 @@ void MultiTierApp::issue_request() {
     --active_clients_;  // retire instead of issuing
     return;
   }
-  Request req;
-  req.id = next_request_id_++;
+  std::size_t request = requests_.size();
+  if (free_requests_.empty()) {
+    requests_.emplace_back();
+  } else {
+    request = free_requests_.back();
+    free_requests_.pop_back();
+  }
+  Request& req = requests_[request];
   req.start_time_s = sim_.now();
   req.current_tier = 0;
   req.current_replica = 0;
-  req.demands.reserve(config_.tiers.size());
-  for (const TierConfig& tier : config_.tiers) {
-    // Bounded Pareto spanning [mean/4, mean*12]: heavy-tailed but with
-    // finite variance; rescale so the realized mean matches the config.
-    const double lo = tier.mean_demand_gcycles / 4.0;
-    const double hi = tier.mean_demand_gcycles * 12.0;
-    const double raw = rng_.bounded_pareto(tier.pareto_alpha, lo, hi);
-    const double mean = bounded_pareto_mean(tier.pareto_alpha, lo, hi);
-    req.demands.push_back(raw * tier.mean_demand_gcycles / mean);
+  req.demands.clear();  // keeps the slot's buffer
+  for (const TierDemand& tier : demand_) {
+    const double raw = tier.pareto(rng_);
+    req.demands.push_back(raw * tier.mean_demand_gcycles / tier.pareto_mean);
   }
-  const std::uint64_t req_id = req.id;
   ++issued_;
-  auto [it, inserted] = requests_.emplace(req_id, std::move(req));
-  static_cast<void>(inserted);
-  route_to_tier(it->second, 0);
+  ++in_flight_;
+  route_to_tier(request, 0);
 }
 
 void MultiTierApp::on_replica_complete(std::size_t tier, std::size_t slot, sim::JobId job) {
   Replica& rep = tiers_[tier].replicas[slot];
   const auto it = rep.jobs.find(job);
   if (it == rep.jobs.end()) return;  // job was abandoned
-  const std::uint64_t req_id = it->second;
+  const std::size_t request = it->second;
   rep.jobs.erase(it);
   --tier_resident_[tier];
   if (rep.state == Replica::State::kDraining && rep.jobs.empty()) {
     retire_replica(tier, slot);
   }
 
-  auto req_it = requests_.find(req_id);
-  if (req_it == requests_.end()) return;
-  Request& req = req_it->second;
-  const std::size_t next_tier = req.current_tier + 1;
+  const std::size_t next_tier = requests_[request].current_tier + 1;
   if (next_tier < tiers_.size()) {
-    route_to_tier(req, next_tier);
+    route_to_tier(request, next_tier);
     return;
   }
-  Request done = std::move(req);
-  requests_.erase(req_it);
-  finish_request(std::move(done));
+  finish_request(request);
 }
 
-void MultiTierApp::finish_request(Request req) {
+void MultiTierApp::finish_request(std::size_t request) {
+  const double start_time_s = requests_[request].start_time_s;
+  free_requests_.push_back(request);
+  --in_flight_;
   ++completed_;
-  audit::request_conservation(issued_, completed_, requests_.size());
+  audit::request_conservation(issued_, completed_, in_flight_);
   const double now = sim_.now();
-  if (on_response_) on_response_(now, now - req.start_time_s);
+  if (on_response_) on_response_(now, now - start_time_s);
   if (!open_workload()) client_think();
 }
 

@@ -167,17 +167,27 @@ class MultiTierApp {
   /// Requests issued since construction (= completed + in flight).
   [[nodiscard]] std::uint64_t issued_requests() const noexcept { return issued_; }
   /// Requests currently inside some tier (not thinking).
-  [[nodiscard]] std::size_t requests_in_flight() const noexcept { return requests_.size(); }
+  [[nodiscard]] std::size_t requests_in_flight() const noexcept { return in_flight_; }
   /// Work completed by tier `j` so far (Gcycles, summed over replicas).
   [[nodiscard]] double tier_work_done_gcycles(std::size_t tier) const;
 
  private:
+  /// One in-flight request, held in a slot of `requests_`. A freed slot
+  /// keeps its `demands` buffer for the next request that takes it.
   struct Request {
-    std::uint64_t id;
-    double start_time_s;
-    std::size_t current_tier;
-    std::size_t current_replica;  // slot within current_tier
-    std::vector<double> demands;  // per-tier Gcycles, drawn at issue time
+    double start_time_s = 0.0;
+    std::size_t current_tier = 0;
+    std::size_t current_replica = 0;  // slot within current_tier
+    std::vector<double> demands;      // per-tier Gcycles, drawn at issue time
+  };
+
+  /// The per-tier demand model, built once at construction: a bounded
+  /// Pareto on [mean/4, mean*12] and its analytic mean, which rescales each
+  /// draw so the realized mean matches the configured one.
+  struct TierDemand {
+    util::BoundedPareto pareto;
+    double mean_demand_gcycles;
+    double pareto_mean;
   };
 
   /// One replica slot. Slots are never destroyed once created: a retired
@@ -188,7 +198,7 @@ class MultiTierApp {
     std::unique_ptr<sim::PsQueue> queue;
     State state = State::kFree;
     double allocation_ghz = 0.0;
-    std::unordered_map<sim::JobId, std::uint64_t> jobs;  // job id -> request id
+    std::unordered_map<sim::JobId, std::size_t> jobs;  // job id -> request slot
     sim::EventId boot_event = sim::kNoEvent;
   };
 
@@ -200,10 +210,10 @@ class MultiTierApp {
   void client_think();
   void issue_request();
   void schedule_next_arrival();
-  void route_to_tier(Request& req, std::size_t tier);
+  void route_to_tier(std::size_t request, std::size_t tier);
   [[nodiscard]] std::size_t pick_replica(std::size_t tier);
   void on_replica_complete(std::size_t tier, std::size_t slot, sim::JobId job);
-  void finish_request(Request req);
+  void finish_request(std::size_t request);
   void finish_boot(std::size_t tier, std::size_t slot);
   void retire_replica(std::size_t tier, std::size_t slot);
   void audit_tier(std::size_t tier) const;
@@ -218,11 +228,17 @@ class MultiTierApp {
   /// the pre-replication build (the dispatcher stream is untouched then).
   util::Rng dispatch_rng_;
   std::vector<Tier> tiers_;
+  std::vector<TierDemand> demand_;
   /// Requests resident per tier, maintained by route/complete; audited
   /// against the per-replica job maps at every scaling event.
   std::vector<std::size_t> tier_resident_;
-  std::unordered_map<std::uint64_t, Request> requests_;
-  std::uint64_t next_request_id_ = 1;
+  /// In-flight requests: a slot vector plus a LIFO free list. Slots are
+  /// addressed by index because a queue call (add_job, set_capacity) can
+  /// deliver completions that take or free slots; no reference into
+  /// `requests_` is held across one.
+  std::vector<Request> requests_;
+  std::vector<std::size_t> free_requests_;
+  std::size_t in_flight_ = 0;
   std::size_t active_clients_ = 0;
   std::size_t target_clients_ = 0;
   std::uint64_t issued_ = 0;

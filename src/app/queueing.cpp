@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "check/app_audit.hpp"
 
@@ -11,13 +12,24 @@ namespace {
 
 void validate(const ClosedNetwork& network) {
   if (network.service_demands_s.empty()) {
-    throw std::invalid_argument("ClosedNetwork: no stations");
+    throw std::invalid_argument("ClosedNetwork: service_demands_s is empty (no stations)");
   }
-  if (network.think_time_s < 0.0) {
-    throw std::invalid_argument("ClosedNetwork: negative think time");
+  if (!(network.think_time_s >= 0.0) || !std::isfinite(network.think_time_s)) {
+    throw std::invalid_argument("ClosedNetwork: think_time_s must be >= 0 and finite");
   }
-  for (const double d : network.service_demands_s) {
-    if (!(d > 0.0)) throw std::invalid_argument("ClosedNetwork: demands must be positive");
+  for (std::size_t i = 0; i < network.service_demands_s.size(); ++i) {
+    const double d = network.service_demands_s[i];
+    if (!(d > 0.0) || !std::isfinite(d)) {
+      throw std::invalid_argument("ClosedNetwork: service_demands_s[" + std::to_string(i) +
+                                  "] must be positive and finite");
+    }
+  }
+}
+
+void validate_clients(std::size_t clients) {
+  if (clients > kMaxMvaClients) {
+    throw std::invalid_argument("exact_mva: clients " + std::to_string(clients) +
+                                " exceeds the limit of " + std::to_string(kMaxMvaClients));
   }
 }
 
@@ -25,6 +37,7 @@ void validate(const ClosedNetwork& network) {
 
 MvaResult exact_mva(const ClosedNetwork& network, std::size_t clients) {
   validate(network);
+  validate_clients(clients);
   const std::size_t m = network.service_demands_s.size();
   MvaResult result;
   result.stations.assign(m, MvaStation{});
@@ -72,6 +85,7 @@ double throughput_upper_bound(const ClosedNetwork& network, std::size_t clients)
 double response_time_capacity_scale(const ClosedNetwork& network, std::size_t clients,
                                         double target_s) {
   validate(network);
+  validate_clients(clients);
   if (!(target_s > 0.0)) {
     throw std::invalid_argument("response_time_capacity_scale: target must be positive");
   }

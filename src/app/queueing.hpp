@@ -36,8 +36,16 @@ struct MvaResult {
   std::vector<MvaStation> stations;  ///< per-station detail
 };
 
+/// Largest population exact MVA accepts. The recursion visits every
+/// population 1..N, O(N x stations): a million clients is well under a
+/// second, while an unbounded N (say 1e10 from a command line) would run
+/// for hours. Capacity scaling solves MVA ~200 times at the same N.
+inline constexpr std::size_t kMaxMvaClients = 1'000'000;
+
 /// Exact MVA for the closed PS network with `clients` customers.
-/// Throws std::invalid_argument on empty/negative inputs.
+/// Throws std::invalid_argument, naming the field, on an empty station
+/// list, a negative or non-finite think time, a service demand that is not
+/// positive and finite, or more than kMaxMvaClients clients.
 [[nodiscard]] MvaResult exact_mva(const ClosedNetwork& network, std::size_t clients);
 
 /// Asymptotic bounds (Denning & Buzen): X(N) <= min(N/(Z+sum D), 1/max D).
@@ -48,7 +56,7 @@ struct MvaResult {
 /// capacities (i.e. demands divided by s) needed for the mean response
 /// time to reach `target_s` with `clients` customers. Returns 1.0 when the
 /// target is already met; throws std::invalid_argument when the target is
-/// not achievable (<= 0) or inputs are invalid.
+/// not achievable (<= 0) or inputs are invalid (as for exact_mva).
 [[nodiscard]] double response_time_capacity_scale(const ClosedNetwork& network,
                                                       std::size_t clients,
                                                       double target_s);

@@ -265,9 +265,9 @@ std::optional<double> Tsdb::last_time_s(MetricId id) const {
 
 std::size_t Tsdb::approx_memory_bytes() const noexcept {
   // Cost model constants: a page's reserved capacity, a finalized rollup
-  // point, and ~40 bytes per sample resident in an open-window accumulator
-  // (32-byte treap node + amortized Welford moments).
-  constexpr std::size_t kAccBytesPerSample = 40;
+  // point, and one double per sample resident in an open-window
+  // accumulator's buffer (its Welford moments are a fixed few words).
+  constexpr std::size_t kAccBytesPerSample = sizeof(double);
   const std::size_t page_bytes = config_.page_samples * sizeof(RawSample);
   std::size_t total = free_.size() * page_bytes;
   for (const Metric& m : metrics_) {

@@ -11,11 +11,13 @@
 //   tier 1  per-period rollups (default: the 4 s control period)
 //   tier 2  hourly rollups
 //
-// Rollups are maintained incrementally by util::WindowStats (Welford
-// moments + a util::OrderStatisticTree), so every finalized or still-open
-// window's count/min/avg/max/p90 is bit-identical to a brute-force
-// recompute over the raw samples of that window — the property the
-// differential tests in tests/test_tsdb.cpp pin down. Eviction never goes
+// Rollups are maintained by util::WindowStats (Welford moments on append,
+// the window's p90 selected from its sample buffer when the window closes
+// or an open window is read), so every finalized or still-open window's
+// count/min/avg/max/p90 is bit-identical to a brute-force recompute over
+// the raw samples of that window — the property the differential tests in
+// tests/test_tsdb.cpp pin down. Reading an open window copies its buffer
+// and never reorders it. Eviction never goes
 // backwards in fidelity: a raw page may be dropped, but the windows it
 // contributed to live on in tiers 1 and 2.
 //
@@ -124,9 +126,9 @@ class Tsdb {
   /// Last accepted timestamp; nullopt before the first accepted sample.
   [[nodiscard]] std::optional<double> last_time_s(MetricId id) const;
   /// Deterministic storage-cost model (not RSS): pages at full capacity,
-  /// finalized rollup points, and the open-window accumulators at ~40
-  /// bytes/resident sample (treap node + moments amortized). The bench's
-  /// bytes-per-sample figures and the tests' memory bound both read this.
+  /// finalized rollup points, and the open-window accumulators at one
+  /// double per resident sample. The bench's bytes-per-sample figures and
+  /// the tests' memory bound both read this.
   [[nodiscard]] std::size_t approx_memory_bytes() const noexcept;
 
   [[nodiscard]] const TsdbConfig& config() const noexcept { return config_; }

@@ -7,8 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "util/order_stats.hpp"
-
 namespace vdc::util {
 
 /// Numerically stable running mean/variance/min/max (Welford's algorithm).
@@ -45,24 +43,24 @@ class RunningStats {
 [[nodiscard]] double quantile(std::vector<double> values, double q);
 
 /// Streaming accumulator for one bounded window of samples: Welford moments
-/// plus an incremental order-statistic index, so count/min/mean/max and any
-/// exact type-7 quantile are available at every point of the stream without
-/// a copy+sort. This is the hoisted "order-statistic glue" shared by the
-/// response-time monitor's per-control-period statistics and the telemetry
-/// tsdb's tier rollup accumulators — both must produce bit-identical values
-/// for the same sample order, which sharing one implementation guarantees.
+/// plus a flat buffer of the samples in arrival order. count/min/mean/max
+/// are available at every point of the stream; an exact type-7 quantile is
+/// selected from a copy of the buffer when it is read (once per window in
+/// the response-time monitor and the telemetry tsdb), so an append is one
+/// push_back. Both share this one implementation and must produce
+/// bit-identical values for the same sample order.
 ///
-/// NaN samples are rejected with an exception (they would silently corrupt
-/// the ordered index); ±infinity is accepted. `reset()` recycles the
-/// accumulator for the next window without releasing the tree's node pool.
+/// NaN samples are rejected with an exception (they have no place in an
+/// order); ±infinity is accepted. `reset()` recycles the accumulator for the
+/// next window without releasing the buffer's capacity.
 class WindowStats {
  public:
   /// Appends one sample; throws std::invalid_argument on NaN.
   void add(double x);
-  /// Clears for the next window (the order index keeps its node pool).
+  /// Clears for the next window (the buffer keeps its capacity).
   void reset() noexcept {
     moments_.reset();
-    order_.clear();
+    samples_.clear();
   }
 
   [[nodiscard]] std::size_t count() const noexcept { return moments_.count(); }
@@ -72,12 +70,15 @@ class WindowStats {
   [[nodiscard]] double max() const noexcept { return moments_.max(); }
   [[nodiscard]] const RunningStats& moments() const noexcept { return moments_; }
   /// Exact quantile (type-7 interpolation, identical to util::quantile on
-  /// the same samples), O(log n). Throws on empty or q outside [0,1].
-  [[nodiscard]] double quantile(double q) const { return order_.quantile(q); }
+  /// the same samples), O(n) by selection on a scratch copy: a read never
+  /// reorders the window. Among samples that compare equal but differ in
+  /// bits (-0.0 and +0.0), the later arrival ranks lower. Throws on empty or
+  /// q outside [0,1].
+  [[nodiscard]] double quantile(double q) const;
 
  private:
   RunningStats moments_;
-  OrderStatisticTree order_;
+  std::vector<double> samples_;
 };
 
 }  // namespace vdc::util

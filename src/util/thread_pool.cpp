@@ -90,6 +90,12 @@ struct ParallelForState {
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t threads) {
   if (n == 0) return;
+  if (n == 1) {
+    // One iteration never needs a helper; deciding so before resolving
+    // threads == 0 keeps hardware_concurrency() off the per-call path.
+    body(0);
+    return;
+  }
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }

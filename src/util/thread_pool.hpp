@@ -65,7 +65,8 @@ class ThreadPool {
 /// counter, the call makes progress (and nested `parallel_for` inside `body`
 /// cannot deadlock) even when every pool worker is busy. Exceptions from the
 /// body are rethrown (the first one encountered). `threads == 0` means
-/// hardware concurrency.
+/// hardware concurrency. A single iteration (n == 1) runs inline on the
+/// caller's thread.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);
 

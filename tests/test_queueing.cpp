@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "app/monitor.hpp"
 #include "app/multi_tier_app.hpp"
 #include "sim/simulation.hpp"
@@ -13,6 +16,55 @@ TEST(Mva, ValidatesInputs) {
   EXPECT_THROW(exact_mva(ClosedNetwork{1.0, {}}, 5), std::invalid_argument);
   EXPECT_THROW(exact_mva(ClosedNetwork{-1.0, {0.1}}, 5), std::invalid_argument);
   EXPECT_THROW(exact_mva(ClosedNetwork{1.0, {0.0}}, 5), std::invalid_argument);
+}
+
+/// Runs `call` and returns the message of the std::invalid_argument it
+/// throws ("" when it throws nothing).
+template <typename F>
+std::string invalid_argument_message(F call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Mva, RejectsNonFiniteInputsNamingTheField) {
+  // An infinite demand is not a positive one: with checks compiled out,
+  // accepting it used to make exact_mva return -nan.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const ClosedNetwork& bad :
+       {ClosedNetwork{1.0, {0.1, inf}}, ClosedNetwork{1.0, {0.1, nan}},
+        ClosedNetwork{1.0, {0.1, -inf}}}) {
+    const std::string message = invalid_argument_message([&] {
+      static_cast<void>(exact_mva(bad, 5));
+    });
+    EXPECT_NE(message.find("service_demands_s[1]"), std::string::npos) << message;
+    EXPECT_THROW(static_cast<void>(throughput_upper_bound(bad, 5)), std::invalid_argument);
+    EXPECT_THROW(static_cast<void>(response_time_capacity_scale(bad, 5, 0.1)),
+                 std::invalid_argument);
+  }
+  for (const double think : {inf, nan}) {
+    const std::string message = invalid_argument_message([&] {
+      static_cast<void>(exact_mva(ClosedNetwork{think, {0.1}}, 5));
+    });
+    EXPECT_NE(message.find("think_time_s"), std::string::npos) << message;
+  }
+}
+
+TEST(Mva, RejectsPopulationsAboveTheLimit) {
+  // The recursion is linear in the population; an unbounded one must be
+  // refused before it starts, not run for hours.
+  const ClosedNetwork net{1.0, {0.01, 0.02}};
+  const std::string message = invalid_argument_message([&] {
+    static_cast<void>(exact_mva(net, std::size_t{10'000'000'000}));
+  });
+  EXPECT_NE(message.find("clients"), std::string::npos) << message;
+  EXPECT_THROW(static_cast<void>(response_time_capacity_scale(net, kMaxMvaClients + 1, 0.1)),
+               std::invalid_argument);
+  EXPECT_GT(exact_mva(net, kMaxMvaClients).throughput_rps, 0.0);  // the limit itself is fine
 }
 
 TEST(Mva, SingleClientHasNoQueueing) {

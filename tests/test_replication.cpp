@@ -4,6 +4,7 @@
 // second serving replica).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "app/multi_tier_app.hpp"
@@ -221,6 +222,58 @@ TEST(Replication, RequestConservationAcrossChurn) {
     }
   }
   EXPECT_EQ(outstanding, 0u);
+}
+
+TEST(Replication, RequestSlotsAreReusedAcrossChurnAndDrain) {
+  // In-flight requests live in recycled slots. Across scale-out, scale-in,
+  // a full drain and a regrow, the in-flight count must stay the issued -
+  // completed difference and, between events, equal the jobs resident in
+  // the replicas (each in-flight request sits in exactly one replica).
+  sim::Simulation sim;
+  MultiTierApp app(sim, replicated_app(21, 60, 2));
+  std::size_t peak_in_flight = 0;
+  const auto check = [&](const char* where) {
+    std::size_t resident = 0;
+    for (std::size_t j = 0; j < app.tier_count(); ++j) {
+      for (std::size_t r = 0; r < app.replica_slots(j); ++r) {
+        resident += app.replica_outstanding(j, r);
+      }
+    }
+    EXPECT_EQ(app.requests_in_flight(), app.issued_requests() - app.completed_requests())
+        << where;
+    EXPECT_EQ(app.requests_in_flight(), resident) << where;
+    EXPECT_LE(app.requests_in_flight(), app.active_clients()) << where;
+    peak_in_flight = std::max(peak_in_flight, app.requests_in_flight());
+  };
+  // Inside a completion another request may be between two tiers (its
+  // next add_job is what delivered this completion), so only the
+  // issued - completed identity is checked there.
+  app.set_response_callback([&](double, double) {
+    EXPECT_EQ(app.requests_in_flight(), app.issued_requests() - app.completed_requests());
+    peak_in_flight = std::max(peak_in_flight, app.requests_in_flight() + 1);
+  });
+  app.start();
+  for (int round = 1; round <= 4; ++round) {
+    sim.run_until(25.0 * round);
+    app.scale_out(0);
+    app.scale_out(1);
+    check("after scale_out");
+    sim.run_until(25.0 * round + 12.5);
+    app.scale_in(0);
+    app.scale_in(1);
+    check("after scale_in");
+  }
+  app.set_concurrency(0);
+  sim.drain_until(2000.0);
+  check("drained");
+  EXPECT_EQ(app.requests_in_flight(), 0u);
+  const std::uint64_t completed_before_regrow = app.completed_requests();
+  // Regrow: new requests take the freed slots again.
+  app.set_concurrency(40);
+  sim.run_until(sim.now() + 100.0);
+  check("regrown");
+  EXPECT_GT(app.completed_requests(), completed_before_regrow + 100);
+  EXPECT_GT(peak_in_flight, 0u);
 }
 
 TEST(Replication, ScalingMachineryDoesNotPerturbSingleServingReplica) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -114,6 +115,48 @@ TEST(Rng, BoundedParetoRejectsNonPositiveAlpha) {
   EXPECT_THROW(rng.bounded_pareto(-1.5, 1.0, 10.0), std::invalid_argument);
   EXPECT_THROW(rng.bounded_pareto(std::numeric_limits<double>::quiet_NaN(), 1.0, 10.0),
                std::invalid_argument);
+}
+
+/// The one-shot draw as it was written before the constants were cached:
+/// every pow recomputed per call, from the same uniform.
+double reference_bounded_pareto(Rng& rng, double alpha, double lo, double hi) {
+  const double u = rng.uniform(0.0, 1.0);
+  const double la = std::pow(lo, alpha);
+  const double ha = std::pow(hi, alpha);
+  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+}
+
+TEST(BoundedPareto, MatchesTheUncachedFormulaDrawForDraw) {
+  // Tier shapes of the testbed (mean/4 .. mean*12 at alpha 2.2) and a few
+  // wider and heavier ones, including the event-loop benches' shapes.
+  struct Shape {
+    double alpha, lo, hi;
+  };
+  const Shape shapes[] = {{2.2, 0.008 / 4.0, 0.008 * 12.0}, {2.2, 0.012 / 4.0, 0.012 * 12.0},
+                          {1.5, 0.05, 5.0},                 {1.2, 0.05, 4.0},
+                          {3.7, 1e-4, 2.5},                 {0.6, 1.0, 1e6}};
+  for (const Shape& shape : shapes) {
+    const BoundedPareto sampler(shape.alpha, shape.lo, shape.hi);
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      Rng cached(seed);
+      Rng one_shot(seed);
+      Rng reference(seed);
+      for (int i = 0; i < 2000; ++i) {
+        const double expected = reference_bounded_pareto(reference, shape.alpha, shape.lo,
+                                                         shape.hi);
+        ASSERT_EQ(sampler(cached), expected) << "alpha " << shape.alpha << " seed " << seed;
+        ASSERT_EQ(one_shot.bounded_pareto(shape.alpha, shape.lo, shape.hi), expected);
+      }
+    }
+  }
+}
+
+TEST(BoundedPareto, ValidatesOnceAtConstruction) {
+  EXPECT_THROW(BoundedPareto(0.0, 1.0, 10.0), std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(std::numeric_limits<double>::infinity(), 1.0, 10.0),
+               std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(2.0, 0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(BoundedPareto(2.0, 2.0, 2.0), std::invalid_argument);
 }
 
 TEST(Rng, NormalMoments) {

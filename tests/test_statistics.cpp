@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "oracles/order_stats.hpp"
 #include "util/rng.hpp"
 
 namespace vdc::util {
@@ -153,6 +156,121 @@ TEST(WindowStats, ResetEmptiesTheWindow) {
   EXPECT_EQ(w.count(), 0u);
   w.add(7.0);
   EXPECT_EQ(w.quantile(0.9), 7.0);
+}
+
+// ---- WindowStats against the order-statistic tree it replaced -----------
+
+/// Bitwise equality: tells -0.0 from +0.0 and compares NaN results (an
+/// interpolation between -inf and +inf) by their bits.
+::testing::AssertionResult same_bits(double actual, double expected) {
+  if (std::memcmp(&actual, &expected, sizeof actual) == 0) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "got " << actual << (std::signbit(actual) ? " (-)" : "")
+                                       << ", oracle " << expected
+                                       << (std::signbit(expected) ? " (-)" : "");
+}
+
+/// One value from a mix built to hit every tie the tree orders: a
+/// continuous range, a handful of repeated values, both zeros and both
+/// infinities.
+double tricky_sample(Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (rng.uniform_int(0, 5)) {
+    case 0: return rng.uniform(-5.0, 5.0);
+    case 1: return static_cast<double>(rng.uniform_int(-2, 2));
+    case 2: return 0.0;
+    case 3: return -0.0;
+    case 4: return rng.bernoulli(0.5) ? inf : -inf;
+    default: return rng.uniform(0.0, 1.0) < 0.5 ? 1.5 : -1.5;
+  }
+}
+
+void expect_quantiles_match(const WindowStats& w, const oracles::OrderStatisticTree& tree,
+                            double extra_q, const std::string& where) {
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0, extra_q}) {
+    EXPECT_TRUE(same_bits(w.quantile(q), tree.quantile(q))) << where << " q " << q;
+  }
+}
+
+TEST(WindowStatsDifferential, MatchesTheOrderStatisticTreeBitForBit) {
+  // Seeded windows of mixed samples, read between adds, on one recycled
+  // accumulator (reset reuse) against a fresh tree per window.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    WindowStats w;
+    for (int window = 0; window < 25; ++window) {
+      w.reset();
+      oracles::OrderStatisticTree tree;
+      const auto n = static_cast<int>(rng.uniform_int(1, 160));
+      for (int i = 0; i < n; ++i) {
+        const double x = tricky_sample(rng);
+        w.add(x);
+        tree.insert(x);
+        if (rng.bernoulli(0.15) || i + 1 == n) {
+          expect_quantiles_match(w, tree, rng.uniform(0.0, 1.0),
+                                 "seed " + std::to_string(seed) + " window " +
+                                     std::to_string(window) + " size " + std::to_string(i + 1));
+        }
+      }
+      EXPECT_EQ(w.count(), tree.size());
+    }
+  }
+}
+
+TEST(WindowStatsDifferential, OneSampleWindowsAndSignedZeroTies) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double x : {0.0, -0.0, 3.25, -7.5, inf, -inf}) {
+    WindowStats w;
+    oracles::OrderStatisticTree tree;
+    w.add(x);
+    tree.insert(x);
+    expect_quantiles_match(w, tree, 0.37, "one sample " + std::to_string(x));
+  }
+  // The tree ranks a later zero below an earlier one whatever the signs:
+  // every arrival order of a few zeros, with values on both sides.
+  const std::vector<std::vector<double>> streams = {
+      {0.0, -0.0},           {-0.0, 0.0},
+      {-0.0, 0.0, -0.0},     {0.0, 0.0, -0.0, 0.0},
+      {-1.0, 0.0, 2.0, -0.0}, {-0.0, -inf, 0.0, inf, -0.0, 1.0},
+      {0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0}};
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    WindowStats w;
+    oracles::OrderStatisticTree tree;
+    for (const double x : streams[s]) {
+      w.add(x);
+      tree.insert(x);
+    }
+    for (std::size_t k = 0; k <= 20; ++k) {
+      const double q = static_cast<double>(k) / 20.0;
+      EXPECT_TRUE(same_bits(w.quantile(q), tree.quantile(q))) << "stream " << s << " q " << q;
+    }
+  }
+}
+
+TEST(WindowStatsDifferential, QuantileReadLeavesTheWindowIntact) {
+  // A read selects on a copy: reading, then adding more, must equal adding
+  // everything and reading once.
+  Rng rng(77);
+  WindowStats read_often;
+  WindowStats read_once;
+  for (int i = 0; i < 300; ++i) {
+    const double x = tricky_sample(rng);
+    read_often.add(x);
+    read_once.add(x);
+    static_cast<void>(read_often.quantile(rng.uniform(0.0, 1.0)));
+  }
+  for (const double q : {0.0, 0.3, 0.9, 1.0}) {
+    EXPECT_TRUE(same_bits(read_often.quantile(q), read_once.quantile(q))) << "q " << q;
+  }
+}
+
+TEST(WindowStats, QuantileValidatesItsInput) {
+  WindowStats w;
+  EXPECT_THROW(static_cast<void>(w.quantile(0.5)), std::invalid_argument);
+  w.add(1.0);
+  EXPECT_THROW(static_cast<void>(w.quantile(-0.1)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(w.quantile(1.1)), std::invalid_argument);
 }
 
 }  // namespace

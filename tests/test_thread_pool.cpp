@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace vdc::util {
@@ -57,6 +58,22 @@ TEST(ParallelFor, SingleThreadFallback) {
   std::vector<int> order;
   parallel_for(5, [&](std::size_t i) { order.push_back(static_cast<int>(i)); }, 1);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ParallelFor, SingleIterationRunsOnTheCallersThread) {
+  // One iteration needs no helper, whatever the thread count asks for —
+  // including the default (0 = hardware concurrency).
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+    std::thread::id ran_on;
+    int calls = 0;
+    parallel_for(1, [&](std::size_t i) {
+      EXPECT_EQ(i, 0u);
+      ran_on = std::this_thread::get_id();
+      ++calls;
+    }, threads);
+    EXPECT_EQ(calls, 1) << "threads " << threads;
+    EXPECT_EQ(ran_on, std::this_thread::get_id()) << "threads " << threads;
+  }
 }
 
 TEST(ParallelFor, RethrowsBodyException) {

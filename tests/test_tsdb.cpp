@@ -260,7 +260,7 @@ TEST(TsdbMemoryBound, WeekLongStreamStaysWithinPageBudget) {
       (config.tier0_max_pages + 1) * config.page_samples * sizeof(RawSample) +
       (config.tier1_retention_points + config.tier2_retention_points + 2) *
           sizeof(RollupPoint) +
-      open_acc_samples * 40;
+      open_acc_samples * sizeof(double);
   EXPECT_LE(db.approx_memory_bytes(), budget_bytes);
 }
 

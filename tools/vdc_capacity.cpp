@@ -34,6 +34,10 @@ int main(int argc, char** argv) {
   if (allocations_ghz.size() != demands_gcycles.size()) {
     parser.fail("--alloc: needs one value per --demands entry");
   }
+  // Exact MVA walks every population up to --clients.
+  if (clients > kMaxMvaClients) {
+    parser.fail("--clients: at most " + std::to_string(kMaxMvaClients) + " (exact MVA limit)");
+  }
   // A zero allocation makes the tier's service demand infinite.
   for (const double c : allocations_ghz) {
     if (c <= 0.0) parser.fail("--alloc: every allocation must be > 0");
